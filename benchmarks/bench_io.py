@@ -1,10 +1,15 @@
-"""Deterministic maintenance of ``BENCH_sim_speed.json``.
+"""Deterministic maintenance of the ``BENCH_sim_speed.json`` snapshot.
 
-All speed benchmarks merge their entries into one JSON file at the repo
-root through :func:`update_bench`. The output is canonicalized — keys
-sorted, floats clamped to :data:`FLOAT_DIGITS` significant digits — so
-committed snapshots and CI build artifacts diff stably: a re-run changes
-only the measurements that actually moved, never the formatting.
+All speed benchmarks merge their entries into one regenerated JSON file,
+``.bench_out/BENCH_sim_speed.json`` (untracked), through
+:func:`update_bench`. The committed baseline ``BENCH_sim_speed.json`` at
+the repo root is never written by a test run: it moves only by a
+deliberate copy of the regenerated file over it, and
+``benchmarks/bench_trend.py`` compares the two. The output is
+canonicalized — keys sorted, floats clamped to :data:`FLOAT_DIGITS`
+significant digits — so snapshots and CI build artifacts diff stably: a
+re-run changes only the measurements that actually moved, never the
+formatting.
 """
 
 from __future__ import annotations
@@ -12,7 +17,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim_speed.json"
+#: Regenerated snapshot every benchmark run merges into.
+BENCH_PATH = (
+    Path(__file__).resolve().parent.parent / ".bench_out"
+    / "BENCH_sim_speed.json"
+)
 
 #: Significant digits kept for floats — far more than timing noise
 #: resolves, few enough that the JSON stays readable and diffable.
@@ -33,7 +42,8 @@ def canonical(value):
 
 
 def update_bench(update: dict) -> None:
-    """Merge ``update`` into BENCH_sim_speed.json (test-order agnostic)."""
+    """Merge ``update`` into the regenerated snapshot (test-order
+    agnostic)."""
     payload = {}
     if BENCH_PATH.exists():
         try:
@@ -41,6 +51,7 @@ def update_bench(update: dict) -> None:
         except (ValueError, OSError):
             payload = {}
     payload.update(update)
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(
         json.dumps(canonical(payload), indent=2, sort_keys=True) + "\n"
     )

@@ -148,5 +148,5 @@ def test_pool_speedup_guard(measurements):
     speedup = measurements["single_wall"] / measurements["pooled_wall"]
     assert speedup >= MIN_POOL_SPEEDUP, (
         f"{POOL_WORKERS}-worker pool only {speedup:.2f}x faster than one "
-        f"scheduler (need >= {MIN_POOL_SPEEDUP}x); see BENCH_sim_speed.json"
+        f"scheduler (need >= {MIN_POOL_SPEEDUP}x); see .bench_out/BENCH_sim_speed.json"
     )

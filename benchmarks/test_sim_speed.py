@@ -3,21 +3,19 @@
 Runs the paper's largest transform (the split 2048-point complex FFT,
 Table 2) on both execution engines, measures wall time spent inside
 ``Vwr2a.run`` (kernel execution only — staging and configuration encode
-are engine-independent), and writes ``BENCH_sim_speed.json`` at the repo
-root. A separate guard test fails outright if the compiled throughput
-multiple drops below :data:`MIN_SPEEDUP`.
+are engine-independent), and writes the ``BENCH_sim_speed.json`` snapshot
+(see :mod:`bench_io` for where). A separate guard test fails outright if
+the compiled throughput multiple drops below :data:`MIN_SPEEDUP`.
 
 Each engine's flow is measured :data:`REPEATS` times and the fastest run
 is kept — the simulated work is identical per repetition, so the minimum
 estimates the true cost with scheduler noise removed (single-core CI
-runners share their host).
+runners share their host). Every flow's full spectrum must equal
+``split_fft_reference_int`` on both engines.
 
 The compiled measurement also aggregates the **superblock** counters off
-``RunResult.superblocks``: how many closed-form fused loops executed, the
-total trips they covered without per-trip dispatch, and how many ran the
-NumPy steady state (the FFT's 16/32-trip Table-1 loops sit below the
-vectorization break-even and run as counted scalar loops — see
-``repro.engine.superblocks.VEC_MIN_TRIPS_LANES``).
+``RunResult.superblocks``: how many closed-form fused loops executed and
+the total trips they covered as counted loops, without per-trip dispatch.
 
 Also measures **short-kernel launch latency** — store + launch of a small
 FIR, regenerated every iteration exactly like the FFT engines regenerate
@@ -40,7 +38,11 @@ import pytest
 
 from bench_io import update_bench
 from repro.baselines import lowpass_taps_q15
-from repro.kernels import KernelRunner, SplitFftEngine
+from repro.kernels import (
+    KernelRunner,
+    SplitFftEngine,
+    split_fft_reference_int,
+)
 from repro.kernels.fir import build_fir_kernel, plan_fir
 from repro.soc.platform import BiosignalSoC
 
@@ -60,24 +62,25 @@ def _signal(n: int, scale: int = 1000) -> list:
 def _measure(engine: str, repeats: int = REPEATS) -> dict:
     runner = KernelRunner(soc=BiosignalSoC(engine=engine))
     vwr2a = runner.soc.vwr2a
-    fft = SplitFftEngine(runner, 2048)
     re = _signal(2048)
     im = _signal(2048, scale=700)
-    fft.run(re, im)  # warm-up: compile/analysis caches, twiddle staging
+    expected = split_fft_reference_int(re, im)
+    # Warm-up: compile/analysis caches, twiddle staging.
+    out = SplitFftEngine(runner, 2048).run(re, im)
+    assert (out.re, out.im) == expected
 
     original_run = vwr2a.run
     best = None
-    first_spectrum = None
     for _ in range(repeats):
-        runner.reset_sram()  # staging buffers are transient per flow
+        # Staging buffers are transient per flow. An engine keeps its
+        # twiddle table in SRAM, so rewinding the allocator retires it:
+        # every flow builds (and prepares, untimed) a fresh engine.
+        runner.reset_sram()
+        fft = SplitFftEngine(runner, 2048)
+        fft.prepare()
         acc = {
             "wall": 0.0, "cycles": 0, "launches": 0,
-            "superblocks": {
-                "accelerated_loops": 0,
-                "accelerated_trips": 0,
-                "vectorized_loops": 0,
-                "vector_rejections": {},
-            },
+            "superblocks": {"accelerated_loops": 0, "accelerated_trips": 0},
         }
 
         def timed_run(name, max_cycles=None, acc=acc):
@@ -88,13 +91,7 @@ def _measure(engine: str, repeats: int = REPEATS) -> dict:
             acc["launches"] += 1
             if result.superblocks:
                 for key, value in result.superblocks.items():
-                    if key == "vector_rejections":
-                        rejections = acc["superblocks"][key]
-                        for reason, count in value.items():
-                            rejections[reason] = \
-                                rejections.get(reason, 0) + count
-                    else:
-                        acc["superblocks"][key] += value
+                    acc["superblocks"][key] += value
             return result
 
         vwr2a.run = timed_run
@@ -102,11 +99,10 @@ def _measure(engine: str, repeats: int = REPEATS) -> dict:
             out = fft.run(re, im)
         finally:
             vwr2a.run = original_run
-        if first_spectrum is None:
-            # The FFT flow reuses SPM-resident state across repetitions,
-            # so spectra are only comparable at equal repetition index;
-            # the engines must agree on the first measured flow.
-            first_spectrum = (out.re[:4], out.im[:4])
+        assert (out.re, out.im) == expected, (
+            f"{engine} engine: FFT-2048 spectrum differs from "
+            "split_fft_reference_int"
+        )
         if best is None or acc["wall"] < best["wall"]:
             best = acc
     return {
@@ -117,7 +113,6 @@ def _measure(engine: str, repeats: int = REPEATS) -> dict:
         "cycles_per_second": best["cycles"] / best["wall"],
         "measured_repeats": repeats,
         "superblocks": best["superblocks"],
-        "spectrum_head": first_spectrum,
     }
 
 
@@ -133,10 +128,10 @@ def test_sim_speed_fft2048(fft_measurements):
     reference = fft_measurements["reference"]
     compiled = fft_measurements["compiled"]
 
-    # Equivalence first: same simulated work, same results.
+    # Equivalence first: same simulated work (each engine's spectra were
+    # checked against the golden model while measuring).
     assert compiled["kernel_cycles"] == reference["kernel_cycles"]
     assert compiled["kernel_launches"] == reference["kernel_launches"]
-    assert compiled["spectrum_head"] == reference["spectrum_head"]
 
     # The superblock tier must actually engage: every Table-1 loop in the
     # FFT flow is provably closed-form.
@@ -148,15 +143,14 @@ def test_sim_speed_fft2048(fft_measurements):
     speedup = (
         compiled["cycles_per_second"] / reference["cycles_per_second"]
     )
-    drop = ("spectrum_head", "superblocks")
     update_bench({
         "benchmark": "fft2048_split",
         "metric": "simulated cycles per wall-clock second (Vwr2a.run only)",
         "reference": {
-            k: v for k, v in reference.items() if k not in drop
+            k: v for k, v in reference.items() if k != "superblocks"
         },
         "compiled": {
-            k: v for k, v in compiled.items() if k not in drop
+            k: v for k, v in compiled.items() if k != "superblocks"
         },
         "speedup": speedup,
         "min_speedup_required": MIN_SPEEDUP,
@@ -165,8 +159,6 @@ def test_sim_speed_fft2048(fft_measurements):
                       "FFT-2048 flow (one dispatch per loop run)",
             "accelerated_loops": superblocks["accelerated_loops"],
             "accelerated_trips": superblocks["accelerated_trips"],
-            "vectorized_loops": superblocks["vectorized_loops"],
-            "vector_rejections": superblocks["vector_rejections"],
             "kernel_launches": compiled["kernel_launches"],
         },
     })
@@ -180,7 +172,7 @@ def test_fft2048_speedup_guard(fft_measurements):
     )
     assert speedup >= MIN_SPEEDUP, (
         f"compiled engine only {speedup:.1f}x faster than reference "
-        f"(need >= {MIN_SPEEDUP}x); see BENCH_sim_speed.json"
+        f"(need >= {MIN_SPEEDUP}x); see .bench_out/BENCH_sim_speed.json"
     )
 
 

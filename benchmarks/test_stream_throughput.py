@@ -96,5 +96,5 @@ def test_stream_throughput_vs_independent_runners():
     })
     assert speedup >= MIN_STREAM_SPEEDUP, (
         f"batched stream only {speedup:.2f}x faster than independent "
-        f"runners (need >= {MIN_STREAM_SPEEDUP}x); see BENCH_sim_speed.json"
+        f"runners (need >= {MIN_STREAM_SPEEDUP}x); see .bench_out/BENCH_sim_speed.json"
     )

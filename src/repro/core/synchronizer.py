@@ -4,7 +4,8 @@ The synchronizer sequences kernel launches, observes the LCU end-of-kernel
 notifications and raises the interrupt line towards the host CPU when a
 kernel execution or a DMA transfer completes (Sec. 4.2). In this model it
 is the bookkeeping point for kernel completions; the host platform polls or
-registers a callback for the interrupt.
+registers a callback for the interrupt. It keeps a running cycle total and
+the last completion only, so a runner serving a long stream stays bounded.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ class Synchronizer:
     """Tracks running kernels and signals completion interrupts."""
 
     def __init__(self) -> None:
-        self.completions = []
+        #: The most recent :class:`KernelCompletion` (``None`` before any).
+        self.last_completion = None
+        #: Cycles summed over every completed kernel.
+        self.total_kernel_cycles = 0
         self.irq_pending = False
         self._irq_callback = None
 
@@ -40,7 +44,8 @@ class Synchronizer:
         record = KernelCompletion(
             name=name, cycles=cycles, columns=tuple(columns)
         )
-        self.completions.append(record)
+        self.last_completion = record
+        self.total_kernel_cycles += cycles
         self.irq_pending = True
         if self._irq_callback is not None:
             self._irq_callback(record)
@@ -51,7 +56,3 @@ class Synchronizer:
     def acknowledge(self) -> None:
         """Host CPU clears the interrupt."""
         self.irq_pending = False
-
-    @property
-    def total_kernel_cycles(self) -> int:
-        return sum(c.cycles for c in self.completions)

@@ -6,7 +6,7 @@ Split model/view so the dashboard works — and is testable — everywhere:
   local :class:`~repro.obs.MetricsBus` or a scraped exposition
   (:func:`~repro.obs.parse_prometheus`), keeps a short history, and
   derives the live quantities the dashboard shows: per-worker windows/s
-  and queue depth, engine decision mix, fallback/rejection reasons,
+  and queue depth, engine decision mix, fallback reasons,
   energy-per-window trend, checkpoint lag.
 * :func:`render_text` renders the model as a plain-text dashboard — the
   headless fallback (``python -m repro.obs --plain``) and the CI smoke
@@ -165,18 +165,12 @@ class MonitorModel:
         ]
 
     def reason_rows(self) -> list:
-        """Fallback kernels and vectorizer rejection reasons, tallied."""
-        rows = [
+        """Fallback kernels, tallied."""
+        return [
             ("fallback", dict(labels_key).get("kernel", "?"), int(count))
             for labels_key, count
             in sorted(self.family("repro_engine_fallbacks_total").items())
         ]
-        rows += [
-            ("vec-reject", dict(labels_key).get("reason", "?"), int(count))
-            for labels_key, count
-            in sorted(self.family("repro_vector_rejections_total").items())
-        ]
-        return rows
 
     def energy_per_window(self) -> list:
         """µJ/window between consecutive ticks (the trend series)."""

@@ -130,6 +130,9 @@ class TestSynchronizer:
         assert sync.irq_pending
         assert fired[0].cycles == 123
         assert sync.total_kernel_cycles == 123
+        sync.kernel_finished("k2", 7, [0])
+        assert sync.last_completion.name == "k2"
+        assert sync.total_kernel_cycles == 130
         sync.acknowledge()
         assert not sync.irq_pending
 
@@ -143,4 +146,4 @@ class TestSynchronizer:
         r.launch("noop")
         # The platform acknowledged the IRQ after the CPU "woke up".
         assert not r.soc.irq.pending("vwr2a")
-        assert r.soc.vwr2a.synchronizer.completions[0].name == "noop"
+        assert r.soc.vwr2a.synchronizer.last_completion.name == "noop"

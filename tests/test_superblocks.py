@@ -1,8 +1,9 @@
 """Differential tests for the superblock tier.
 
-Closed-form fused loops, the NumPy steady state (lane-broadcast and
-per-cell), the runtime guards that drop back to the exact scalar loop
-(counter wrap-around, read-modify-write index reuse), straight-line chain
+Closed-form counted loops over several body shapes (lane broadcast,
+SIMD16 with a non-affine index orbit, per-cell ops, read-modify-write
+butterflies, slice-lapping trip counts), the runtime guard that drops back
+to the exact per-trip loop on counter wrap-around, straight-line chain
 fusion, and the RunResult superblock counters — every scenario asserted
 bit-identical against the reference interpreter.
 """
@@ -14,7 +15,6 @@ import pytest
 from repro.arch import ArchParams
 from repro.asm.builder import ProgramBuilder
 from repro.core.cgra import Vwr2a
-from repro.engine import superblocks
 from repro.engine.compiler import compile_program, superblock_chains
 from repro.isa.fields import (
     DST_R0,
@@ -35,25 +35,6 @@ from repro.isa.program import KernelConfig
 from repro.isa.rc import RCOp, rc
 
 ENGINES = ("reference", "compiled")
-
-
-@pytest.fixture
-def low_vec_threshold(monkeypatch):
-    """Drop the lane vectorization floor below one slice lap.
-
-    The default 32-word slice cannot host >= 96 distinct trips, so the
-    read-modify-write guard would always fall back; lowering the floor
-    (a compile-time constant read while planning) lets short hazard
-    loops take the vector path. The compile memo is cleared so plans are
-    regenerated under the patched threshold, and again afterwards so no
-    low-threshold compilation leaks into other tests.
-    """
-    from repro.engine import compiler
-
-    monkeypatch.setattr(superblocks, "VEC_MIN_TRIPS_LANES", 4)
-    compiler._MEMO.clear()
-    yield
-    compiler._MEMO.clear()
 
 
 def _full_state(sim: Vwr2a) -> dict:
@@ -117,79 +98,51 @@ def _broadcast_loop(params, trips, op=RCOp.SADD, dst=DST_VWR_C,
     return KernelConfig(name="sbloop", columns={0: b.build()})
 
 
+_PER_CELL_RCS = [
+    rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B),
+    rc(RCOp.SSUB, DST_VWR_C, VWR_A, VWR_B),
+    rc(RCOp.SMAX, DST_VWR_C, VWR_A, VWR_B),
+    rc(RCOp.LXOR, DST_VWR_C, VWR_A, VWR_B),
+]
+
+#: (id, trips, _broadcast_loop keyword arguments) of the counted-loop
+#: shapes: trip counts that lap the 32-word slice (duplicate write
+#: indices, last write wins), an AND+XOR index orbit with SIMD16 lanes,
+#: distinct per-cell instructions, and the FFT butterfly's
+#: read-modify-write of VWR B with and without index reuse.
+_LOOP_SHAPES = [
+    ("broadcast_128", 128, {}),
+    ("simd16_xor_orbit_100", 100, {
+        "op": RCOp.FXPMUL16,
+        "update": inck(3, and_mask=29, xor_mask=5),
+    }),
+    ("per_cell_266", 266, {"extra_rcs": _PER_CELL_RCS}),
+    ("butterfly_20", 20, {"dst": DST_VWR_B}),
+    ("butterfly_48", 48, {"dst": DST_VWR_B}),
+]
+
+
 class TestClosedFormLoops:
     def test_counted_scalar_loop_bit_identity(self):
-        # 16 trips: below every vectorization threshold — the counted
-        # scalar path (no per-trip branch evaluation) must be exact.
+        # 16 trips: the counted path (no per-trip branch evaluation) must
+        # be exact.
         result = _run_both(
             lambda p: _broadcast_loop(p, 16), poke=_poke_ramp
         )
         assert result.superblocks["accelerated_loops"] == 1
         assert result.superblocks["accelerated_trips"] == 16
-        assert result.superblocks["vectorized_loops"] == 0
 
-    def test_lane_vectorized_loop_bit_identity(self):
-        # 128 trips on the default 32-word slice: the index sequence laps
-        # the slice 4x, so the scatter carries duplicate indices — NumPy's
-        # in-order assignment must reproduce last-write-wins exactly.
+    @pytest.mark.parametrize(
+        "trips, options", [case[1:] for case in _LOOP_SHAPES],
+        ids=[case[0] for case in _LOOP_SHAPES],
+    )
+    def test_counted_loop_shapes_bit_identity(self, trips, options):
         result = _run_both(
-            lambda p: _broadcast_loop(p, 128), poke=_poke_ramp
-        )
-        assert result.superblocks["vectorized_loops"] == 1
-        assert result.superblocks["accelerated_trips"] == 128
-
-    def test_lane_vectorized_simd16_and_xor_orbit(self):
-        # Non-affine index update (AND+XOR masks) exercises the orbit
-        # walk; FXPMUL16 exercises the vectorized SIMD16 lanes.
-        result = _run_both(
-            lambda p: _broadcast_loop(
-                p, 100, op=RCOp.FXPMUL16,
-                update=inck(3, and_mask=29, xor_mask=5),
-            ),
+            lambda p: _broadcast_loop(p, trips, **options),
             poke=_poke_ramp,
         )
-        assert result.superblocks["vectorized_loops"] == 1
-
-    def test_per_cell_vectorized_loop_bit_identity(self):
-        # Distinct per-cell instructions: the lane lift bails, the
-        # per-cell generator takes over above its higher threshold.
-        def rcs(params):
-            return [
-                rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B),
-                rc(RCOp.SSUB, DST_VWR_C, VWR_A, VWR_B),
-                rc(RCOp.SMAX, DST_VWR_C, VWR_A, VWR_B),
-                rc(RCOp.LXOR, DST_VWR_C, VWR_A, VWR_B),
-            ]
-
-        result = _run_both(
-            lambda p: _broadcast_loop(
-                p, superblocks.VEC_MIN_TRIPS + 10, extra_rcs=rcs(p)
-            ),
-            poke=_poke_ramp,
-        )
-        assert result.superblocks["vectorized_loops"] == 1
-
-    def test_hazard_guard_vector_path_executes(self, low_vec_threshold):
-        # Butterfly shape (reads VB, writes VB), 20 trips on the 32-word
-        # slice: every trip touches a fresh index, so the distinctness
-        # guard admits the gather of loop-entry state.
-        result = _run_both(
-            lambda p: _broadcast_loop(p, 20, dst=DST_VWR_B),
-            poke=_poke_ramp,
-        )
-        assert result.superblocks["vectorized_loops"] == 1
-
-    def test_hazard_guard_falls_back_on_index_reuse(
-        self, low_vec_threshold
-    ):
-        # Same butterfly, 48 trips: the index sequence laps the slice,
-        # the guard must reject the gather and the scalar loop runs.
-        result = _run_both(
-            lambda p: _broadcast_loop(p, 48, dst=DST_VWR_B),
-            poke=_poke_ramp,
-        )
-        assert result.superblocks["vectorized_loops"] == 0
-        assert result.superblocks["accelerated_trips"] == 48
+        assert result.superblocks["accelerated_loops"] == 1
+        assert result.superblocks["accelerated_trips"] == trips
 
     def test_counter_wrap_falls_back_to_exact_loop(self):
         # The counter starts near INT32_MAX and wraps mid-loop: the
