@@ -43,13 +43,13 @@ def _m(name, kind, unit, help, source):  # noqa: A002 - Prometheus term
 #: table is generated from this tuple and ``tests/test_obs.py`` asserts
 #: a pooled instrumented run emits no family missing from it.
 METRICS = (
-    # -- serving (StreamScheduler.run / PoolScheduler accept loop) -----------
+    # -- serving (the WindowLedger under every executor) ---------------------
     _m("repro_windows_served_total", "counter", "windows",
        "Windows whose WindowResult was accepted into the report",
-       "serve/scheduler.py run(), serve/pool.py accept()"),
+       "serve/ledger.py WindowLedger.result()"),
     _m("repro_windows_failed_total", "counter", "windows",
        "Windows quarantined after exhausting the retry ladder",
-       "serve/scheduler.py, serve/pool.py quarantine()"),
+       "serve/ledger.py WindowLedger.spoil() quarantine"),
     _m("repro_window_cycles_total", "counter", "cycles",
        "Simulated platform cycles, summed over served windows",
        "record_window() from WindowResult.cycles"),
@@ -88,54 +88,54 @@ METRICS = (
     _m("repro_resilience_total", "counter", "events",
        "Resilience counters by event label (retries, respawns, "
        "fault:<kind>, ... — the StreamReport.resilience vocabulary)",
-       "record_resilience() from scheduler/pool supervision"),
+       "record_resilience() from serve/ledger.py WindowLedger.tally()"),
     # -- stream progress -----------------------------------------------------
     _m("repro_stream_windows", "gauge", "windows",
        "Windows in the stream being served",
-       "record_progress()"),
+       "record_progress() per settled window (serve/ledger.py)"),
     _m("repro_stream_done", "gauge", "windows",
        "Windows accounted so far (served + quarantined)",
-       "record_progress()"),
+       "record_progress() per settled window (serve/ledger.py)"),
     _m("repro_stream_windows_per_second", "gauge", "windows/s",
        "Serving throughput over the session so far",
-       "record_progress()"),
+       "record_progress() per settled window (serve/ledger.py)"),
     # -- pool ----------------------------------------------------------------
     _m("repro_pool_workers_alive", "gauge", "workers",
        "Live pool worker processes",
-       "serve/pool.py supervision loop"),
+       "serve/pool.py _PoolTransport.supervise()"),
     _m("repro_pool_queue_depth", "gauge", "windows",
        "Dispatched-but-unfinished windows by worker label",
-       "serve/pool.py supervision loop"),
+       "serve/pool.py _PoolTransport.supervise() from WindowLedger.load"),
     _m("repro_pool_worker_windows_total", "counter", "windows",
        "Windows served by worker label",
-       "serve/pool.py accept()"),
+       "serve/ledger.py WindowLedger.result() (pool/fleet worker label)"),
     # -- fleet transport (serve/net FleetServer event loop) ------------------
     _m("repro_net_workers_connected", "gauge", "workers",
        "Registered fleet workers currently connected and ready",
-       "serve/net/server.py event loop"),
+       "serve/net/server.py _EventLoop.serve()"),
     _m("repro_net_inflight_windows", "gauge", "windows",
        "Windows dispatched to fleet workers and not yet resolved",
-       "serve/net/server.py event loop"),
+       "serve/net/server.py _EventLoop.serve() from WindowLedger"),
     _m("repro_net_frames_total", "counter", "frames",
        "Frames moved over the fleet transport by direction label "
        "(in|out)",
-       "serve/net/server.py _read_conn()/dispatch()"),
+       "serve/net/server.py _EventLoop.read_conn()/send()"),
     _m("repro_net_reconnects_total", "counter", "reconnects",
        "Fleet workers that re-registered after losing their connection",
-       "serve/net/server.py hello handling"),
+       "serve/net/server.py _EventLoop.hello()"),
     _m("repro_net_retries_total", "counter", "retries",
        "Fleet retry-ladder rungs spent, by reason label "
        "(deadline|disconnect|desync|heartbeat|fault|quarantine)",
-       "serve/net/server.py next_attempt()/retire_conn()"),
+       "serve/ledger.py WindowLedger.spoil() (fleet rungs only)"),
     _m("repro_net_checksum_failures_total", "counter", "frames",
        "Frames dropped for a checksum/decode failure (recoverable)",
-       "serve/net/server.py _read_conn() bad-frame handling"),
+       "serve/net/server.py _EventLoop.read_conn() bad frames"),
     _m("repro_net_heartbeat_misses_total", "counter", "workers",
        "Fleet workers retired for heartbeat silence",
-       "serve/net/server.py liveness scan"),
+       "serve/net/server.py _EventLoop.scan()"),
     _m("repro_net_worker_quarantines_total", "counter", "workers",
        "Fleet workers benched by the circuit breaker",
-       "serve/net/server.py strike()"),
+       "serve/net/server.py _EventLoop.strike()"),
     # -- checkpointing -------------------------------------------------------
     _m("repro_checkpoint_lag_windows", "gauge", "windows",
        "Windows completed since the last checkpoint flush",
@@ -272,13 +272,11 @@ def record_progress(bus, done: int, total: int,
         )
 
 
-def record_pool_state(bus, in_flight: dict, alive: int) -> None:
+def record_pool_state(bus, depths: dict, alive: int) -> None:
     """Publish per-worker queue depths and the live-worker gauge."""
     bus.set_gauge("repro_pool_workers_alive", alive)
-    for wid, entries in in_flight.items():
-        bus.set_gauge(
-            "repro_pool_queue_depth", len(entries), worker=str(wid)
-        )
+    for wid, depth in depths.items():
+        bus.set_gauge("repro_pool_queue_depth", depth, worker=str(wid))
 
 
 def record_worker_retired(bus, wid) -> None:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, is_dataclass
 
 from repro.core.errors import ConfigurationError
 from repro.obs.bus import get_bus
+from repro.serve.report import StreamReport, merge_counts
 
 #: Bump when CheckpointState stops being readable by older code.
 #: v2 added the quarantine ledger (``failed``) and resilience counters;
@@ -186,6 +187,20 @@ class CheckpointState:
         """Every window is accounted for — served or quarantined."""
         return self.n_done + self.n_failed >= self.n_windows
 
+    def release_quarantined(self) -> None:
+        """Amnesty: release every quarantined window for re-attempt.
+
+        A resume is the natural amnesty point — the fault conditions
+        that exhausted a window's retries (a hostile fault plan, a dying
+        host) do not necessarily hold in the next session. The failure
+        pedigree stays in the resilience counters.
+        """
+        if self.failed:
+            merge_counts(
+                self.resilience, {"requarantine_released": len(self.failed)}
+            )
+            self.failed.clear()
+
 
 class StreamCheckpoint:
     """Periodic, atomic serialization of stream progress to one file.
@@ -334,66 +349,103 @@ class StreamCheckpoint:
         return f"StreamCheckpoint({self.path!r}, every={self.every})"
 
 
-# -- the session protocol shared by StreamScheduler and PoolScheduler --------
+# -- the session protocol shared by every executor ----------------------------
 
 
-def resume_session(checkpoint, fingerprint: dict):
-    """Coerce a path into a :class:`StreamCheckpoint` and load its state.
+class Session:
+    """One serving session of ``stream`` by ``executor``.
 
-    Returns ``(checkpoint, state)``; the one entry point both schedulers
-    use, so resume validation cannot drift between them. Windows the
-    previous session quarantined are released for re-attempt: the fault
-    conditions that exhausted their retries (a hostile fault plan, a
-    dying host) do not necessarily hold in this session, and a resume is
-    the natural amnesty point. Their failure pedigree stays in the
-    resilience counters.
+    The ``run()`` preamble and epilogue every executor shares. With a
+    ``checkpoint`` (a :class:`StreamCheckpoint` or a path) the state is
+    resumed for the job the executor's fingerprint pins — so resume
+    validation cannot drift between executors — and windows the previous
+    session quarantined get amnesty
+    (:meth:`CheckpointState.release_quarantined`). Without one, a scratch
+    state tracks completion only (no O(trace) fingerprint hash).
+
+    The serving clock starts after fingerprinting and resume:
+    ``wall_seconds`` accounts serving, not hashing. As a context manager
+    the session flushes its progress when an exception escapes, so
+    completed windows survive whatever the checkpoint cadence.
     """
-    if not isinstance(checkpoint, StreamCheckpoint):
-        checkpoint = StreamCheckpoint(checkpoint)
-    state = checkpoint.resume(fingerprint)
-    if state.failed:
-        from repro.serve.report import merge_counts
 
-        merge_counts(
-            state.resilience, {"requarantine_released": len(state.failed)}
-        )
-        state.failed.clear()
-    return checkpoint, state
-
-
-def flush_session(state: CheckpointState, checkpoint,
-                  wall_base: float, wall_start: float) -> None:
-    """Persist a session's progress with up-to-date wall accounting.
-
-    The failure-path flush: both schedulers call this right before an
-    error propagates, so completed windows survive whatever the cadence.
-    """
-    state.wall_seconds = wall_base + time.perf_counter() - wall_start
-    checkpoint.save(state)
-
-
-def finalize_session(report, state: CheckpointState, checkpoint,
-                     wall_base: float, wall_start: float,
-                     served: bool = True):
-    """Assemble the final report of a (possibly resumed) session.
-
-    Merges the state's windows in index order, adopts its accumulated
-    store stats and wall clock, and flushes the completed state when a
-    checkpoint is configured. A session that served nothing (replaying
-    an already-complete checkpoint) passes ``served=False``: the
-    historical wall clock is reported untouched and the file is not
-    rewritten — repeated replays must not inflate the serving-time
-    accounting with fingerprinting overhead. Returns ``report``.
-    """
-    for index in sorted(state.results):
-        report.add_window(state.results[index])
-    for index in sorted(state.failed):
-        report.add_failed(state.failed[index])
-    if served:
-        state.wall_seconds = wall_base + time.perf_counter() - wall_start
+    def __init__(self, stream, checkpoint, executor) -> None:
         if checkpoint is not None:
-            checkpoint.save(state)
-    report.wall_seconds = state.wall_seconds
-    report.store_stats = dict(state.store_stats)
-    report.resilience = dict(state.resilience)
-    return report
+            if not isinstance(checkpoint, StreamCheckpoint):
+                checkpoint = StreamCheckpoint(checkpoint)
+            state = checkpoint.resume(stream_fingerprint(
+                stream, executor.config, executor.engine,
+                executor.double_buffer, pipeline=executor.pipeline,
+                energy_model=executor.energy_model,
+            ))
+            state.release_quarantined()
+        else:
+            state = CheckpointState(
+                fingerprint={"n_windows": stream.n_windows}
+            )
+        self.stream = stream
+        self.executor = executor
+        self.checkpoint = checkpoint
+        self.state = state
+        self.wall_base = state.wall_seconds
+        self._settled_before = state.n_done + state.n_failed
+        self.wall_start = time.perf_counter()
+
+    @property
+    def served(self) -> bool:
+        """This session settled at least one window."""
+        state = self.state
+        return state.n_done + state.n_failed > self._settled_before
+
+    def wall(self) -> float:
+        """Serving wall-clock over all sessions, up to now."""
+        return self.wall_base + time.perf_counter() - self.wall_start
+
+    def mark(self) -> None:
+        """Count one settled window on the checkpoint cadence."""
+        if self.checkpoint is not None:
+            self.state.wall_seconds = self.wall()
+            self.checkpoint.mark(self.state)
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None and self.checkpoint is not None \
+                and self.served:
+            self.state.wall_seconds = self.wall()
+            self.checkpoint.save(self.state)
+
+    def finalize(self, engine: str = None) -> StreamReport:
+        """The final report of this (possibly resumed) session.
+
+        Merges the state's windows in index order, adopts its
+        accumulated store stats, resilience counters and wall clock, and
+        flushes the completed state when a checkpoint is configured.
+        ``engine`` is what served the windows; a session that served
+        nothing reports the engine its checkpoint recorded, keeps the
+        historical wall clock and does not rewrite the file — repeated
+        replays must not inflate the serving-time accounting.
+        """
+        state = self.state
+        if engine is None:
+            engine = state.fingerprint.get("engine") or self.executor.engine
+        report = StreamReport(
+            config=self.executor.config,
+            engine=engine,
+            window=getattr(self.stream, "window", 0),
+            hop=getattr(self.stream, "hop", 0),
+            double_buffered=self.executor.double_buffer,
+        )
+        for index in sorted(state.results):
+            report.add_window(state.results[index])
+        for index in sorted(state.failed):
+            report.add_failed(state.failed[index])
+        if self.served:
+            state.wall_seconds = self.wall()
+            if self.checkpoint is not None:
+                self.checkpoint.save(state)
+        report.wall_seconds = state.wall_seconds
+        report.store_stats = dict(state.store_stats)
+        report.resilience = dict(state.resilience)
+        return report

@@ -2,19 +2,14 @@
 
 :class:`FleetServer` is the distributed sibling of
 :class:`~repro.serve.PoolScheduler`: same picklable worker spec, same
-``(index, start, samples, attempt, force_reference)`` task protocol,
-same order-stable merge into a :class:`~repro.serve.StreamReport` — so
-a stream served by a fleet is bit-identical to the sequential
-scheduler, whatever the worker count, and a
-:class:`~repro.serve.StreamCheckpoint` written by any executor resumes
-under any other.
-
-The server is a single-threaded :mod:`selectors` event loop (plus the
-same feeder thread the pool uses for window materialization). Remote
+task protocol, same supervision core
+(:class:`~repro.serve.ledger.WindowLedger`) — so a stream served by a
+fleet is bit-identical to the sequential scheduler, whatever the worker
+count, and a :class:`~repro.serve.StreamCheckpoint` written by any
+executor resumes under any other. Remote
 :class:`~repro.serve.net.FleetWorker` processes dial in, register with
-``hello``, receive the worker spec over the wire, and serve attempts;
-the server owns *all* scheduling state, so any worker can vanish at any
-moment without a window being lost.
+``hello``, receive the worker spec over the wire, and serve attempts
+over a single-threaded :mod:`selectors` event loop.
 
 Robustness is layered, and every knob defaults off — with no fault
 plan, no deadlines and no heartbeat the fleet is exactly a remote pool
@@ -24,10 +19,8 @@ that fails fast on the first worker error:
   dispatched window may stay unresolved; an expired task spends one
   rung of the retry ladder and is re-dispatched with exponential
   backoff (``retry_backoff`` doubling up to ``backoff_cap``). Delivery
-  is thus at-least-once; it is *safe* because results are deduplicated
-  idempotently by window index — a late duplicate is bookkept as
-  ``late_results`` and dropped, exactly like the pool's race between a
-  slow worker and its own requeue.
+  is thus at-least-once; the ledger deduplicates results by window
+  index.
 * **Heartbeats** (``heartbeat_timeout``) retire workers that go silent
   — the read side of the workers' ``heartbeat_interval`` beats.
 * **Reconnection** — a worker that lost its connection re-registers
@@ -55,41 +48,33 @@ from __future__ import annotations
 import hashlib
 import multiprocessing.util
 import pickle
-import queue
 import selectors
 import socket
-import threading
 import time
-import traceback
 
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import ConfigurationError
 from repro.obs.bus import get_bus
 from repro.obs.instruments import (
-    record_failed,
     record_net_event,
     record_net_frames,
-    record_net_retry,
     record_net_state,
-    record_progress,
     record_resilience,
-    record_window,
 )
-from repro.serve.checkpoint import (
-    CheckpointState,
-    finalize_session,
-    flush_session,
-    resume_session,
-    stream_fingerprint,
-)
+from repro.serve.checkpoint import Session
+from repro.serve.ledger import Feeder, WindowLedger
 from repro.serve.net.framing import (
     FrameBuffer,
     FrameError,
     NetGate,
     send_frame,
 )
-from repro.serve.pool import PoolScheduler, PoolWorkerError
-from repro.serve.report import FailedWindow, StreamReport, merge_counts
-from repro.serve.scheduler import StreamScheduler
+from repro.serve.pool import PoolScheduler
+from repro.serve.report import StreamReport, merge_counts
+from repro.serve.scheduler import (
+    AttemptServer,
+    StreamScheduler,
+    serve_in_process,
+)
 
 #: Event-loop tick (select timeout): liveness scans and dispatch pacing.
 _TICK_SECONDS = 0.05
@@ -101,11 +86,11 @@ _CONN_TIMEOUT = 5.0
 
 
 class _Conn:
-    """One accepted connection and its scheduling ledger."""
+    """One accepted connection."""
 
     __slots__ = (
-        "sock", "addr", "buffer", "name", "ready", "engine",
-        "in_flight", "last_seen", "connected_at",
+        "sock", "addr", "buffer", "name", "ready", "last_seen",
+        "connected_at",
     )
 
     def __init__(self, sock, addr) -> None:
@@ -114,9 +99,6 @@ class _Conn:
         self.buffer = FrameBuffer()
         self.name = None
         self.ready = False
-        self.engine = None
-        #: window index -> (task tuple, deadline monotonic or None)
-        self.in_flight = {}
         self.last_seen = time.monotonic()
         self.connected_at = self.last_seen
 
@@ -284,27 +266,12 @@ class FleetServer:
         """
         self.bind()
         try:
-            if checkpoint is not None:
-                checkpoint, state = resume_session(
-                    checkpoint, stream_fingerprint(
-                        stream, self.config, self.engine,
-                        self.double_buffer, pipeline=self.pipeline,
-                        energy_model=self.energy_model,
-                    )
-                )
-            else:
-                state = CheckpointState(
-                    fingerprint={"n_windows": stream.n_windows}
-                )
-            wall_base = state.wall_seconds
-            wall_start = time.perf_counter()
-            served = not state.complete
-            stopped_early = False
-            if served:
-                verdict, engine = self._serve_remaining(
-                    stream, state, checkpoint, wall_base, wall_start
-                )
-                if verdict == "degrade":
+            session = Session(stream, checkpoint, self)
+            engine = None  # a fully-checkpointed resume serves nothing
+            if not session.state.complete:
+                with session:
+                    engine = self._serve_remaining(stream, session)
+                if engine is None:
                     # Nothing registered at all: the whole session is
                     # the local pool's. It re-reads the checkpoint
                     # itself, so the in-memory state is simply dropped.
@@ -315,34 +282,11 @@ class FleetServer:
                     )
                     bus = get_bus()
                     if bus is not None:
-                        record_resilience(
-                            bus, {"local_degradations": 1}
-                        )
+                        record_resilience(bus, {"local_degradations": 1})
                     return report
-                stopped_early = verdict == "stopped"
-            else:
-                engine = state.fingerprint.get("engine") or self.engine
-            if not stopped_early and not state.complete:
-                raise SimulationError(
-                    f"fleet finished with {state.n_done} served and "
-                    f"{state.n_failed} quarantined of "
-                    f"{stream.n_windows} windows — sharding bug"
-                )
-            report = StreamReport(
-                config=self.config,
-                engine=engine,
-                window=getattr(stream, "window", 0),
-                hop=getattr(stream, "hop", 0),
-                double_buffered=self.double_buffer,
-            )
-            return finalize_session(
-                report, state, checkpoint, wall_base, wall_start,
-                served=served,
-            )
+            return session.finalize(engine)
         finally:
             self.close()
-
-    # -- the event loop ------------------------------------------------------
 
     def _spec_frame(self, stream):
         """The spec payload and its digest (pinned in ``hello``)."""
@@ -354,626 +298,423 @@ class FleetServer:
         digest = hashlib.sha256(pickle.dumps(payload)).hexdigest()[:16]
         return payload, digest
 
-    def _serve_remaining(self, stream, state, checkpoint,
-                         wall_base, wall_start):
-        """Serve every unaccounted window; returns ``(verdict, engine)``.
+    def _serve_remaining(self, stream, session):
+        """Serve every unaccounted window; returns the workers' engine.
 
-        ``verdict`` is ``"served"`` (stream fully accounted),
-        ``"stopped"`` (``stop_after`` ended the session early) or
-        ``"degrade"`` (no worker ever registered — the caller runs the
-        local pool instead). Worker errors raise
-        :class:`PoolWorkerError` exactly like the pool, flushing the
-        checkpoint first.
+        Returns ``None`` when no worker ever registered (the caller runs
+        the local pool instead). Worker errors raise
+        :class:`PoolWorkerError` exactly like the pool; the session
+        flushes the checkpoint first.
         """
-        total = stream.n_windows
-        spec_payload, spec_digest = self._spec_frame(stream)
-        task_gate = NetGate(
-            self.fault_plan.specs if self.fault_plan is not None
-            else (), side="task",
+        feeder = Feeder(
+            stream, session.state.results.__contains__, maxsize=32
         )
-
-        abort = threading.Event()
-        feed_done = threading.Event()
-        feed_failure = []
-        ready_q = queue.Queue(maxsize=32)
-
-        def feed():
-            try:
-                for window in stream:
-                    if window.index in state.results:
-                        continue
-                    item = (window.index, window.start, window.samples)
-                    while not abort.is_set():
-                        try:
-                            ready_q.put(item, timeout=_TICK_SECONDS)
-                            break
-                        except queue.Full:
-                            continue
-                    if abort.is_set():
-                        break
-            except Exception:
-                feed_failure.append(traceback.format_exc())
-                abort.set()
-            finally:
-                feed_done.set()
-
-        feeder = threading.Thread(target=feed, daemon=True)
-        feeder.start()
-
-        sel = selectors.DefaultSelector()
-        sel.register(self._listener, selectors.EVENT_READ, "listen")
-        conns = {}       # fileno -> _Conn (every accepted connection)
-        workers = {}     # name -> _Conn (registered)
-        # Names ever registered — seeded from the checkpoint namespaces
-        # so a worker re-registering after a *server* restart counts as
-        # the reconnect it is from the worker's point of view.
-        known = set(state.namespaces)
-        strikes = {}     # name -> circuit-breaker strikes
-        benched = set()  # names quarantined by the breaker
-        engines = set()
-        requeue = []     # [not_before, task] retry entries
-        fail_kinds = {}  # index -> fault kinds seen so far
-        failure = None
-        ever_ready = False
-        accepted = 0     # results accepted this session (stop_after)
-        now = time.monotonic()
-        reg_deadline = now + self.register_timeout
-        last_alive = now
-        verdict = "served"
-
-        def tally(counts: dict) -> None:
-            merge_counts(state.resilience, counts)
-            bus = get_bus()
-            if bus is not None:
-                record_resilience(bus, counts)
-
-        def mark() -> None:
-            if checkpoint is not None:
-                state.wall_seconds = (
-                    wall_base + time.perf_counter() - wall_start
-                )
-                checkpoint.mark(state)
-
-        def namespace(name: str) -> dict:
-            return state.namespaces.setdefault(name, {})
-
-        def send(conn, msg, payload=None, gated=False) -> str:
-            try:
-                if gated and task_gate.specs:
-                    action = task_gate.send(conn.sock, msg, payload)
-                else:
-                    send_frame(conn.sock, msg, payload)
-                    action = "sent"
-            except (OSError, socket.timeout):
-                return "peer_gone"
-            bus = get_bus()
-            if bus is not None and action != "dropped":
-                record_net_frames(bus, "out")
-            return action
-
-        def take_in_flight(index: int):
-            for conn in workers.values():
-                entry = conn.in_flight.pop(index, None)
-                if entry is not None:
-                    return entry
-            return None
-
-        def quarantine_window(index, start, attempts, kinds, why):
-            state.failed[index] = FailedWindow(
-                index=index, start=start, attempts=attempts,
-                kinds=tuple(dict.fromkeys(kinds)), detail=why,
-            )
-            tally({"quarantined": 1})
-            bus = get_bus()
-            if bus is not None:
-                record_failed(bus)
-            mark()
-
-        def next_attempt(task, kinds, why, reason) -> None:
-            """One spoiled attempt down the ladder, with backoff."""
-            index, start, samples, attempt, force_reference = task
-            fail_kinds.setdefault(index, []).extend(kinds)
-            bus = get_bus()
-            if attempt < self.max_retries:
-                tally({"retries": 1})
-                if bus is not None:
-                    record_net_retry(bus, reason)
-                requeue.append([
-                    time.monotonic() + self._backoff(attempt),
-                    (index, start, samples, attempt + 1, False),
-                ])
-            elif self.reference_fallback and not force_reference:
-                tally({"retries": 1})
-                if bus is not None:
-                    record_net_retry(bus, reason)
-                requeue.append([
-                    time.monotonic() + self._backoff(attempt),
-                    (index, start, samples, attempt + 1, True),
-                ])
-            else:
-                quarantine_window(
-                    index, start, attempt + 1,
-                    fail_kinds.pop(index, list(kinds)), why,
-                )
-
-        def strike(conn, n: int = 1) -> None:
-            if conn.name is None or self.breaker_threshold is None:
-                return
-            strikes[conn.name] = strikes.get(conn.name, 0) + n
-            if (
-                strikes[conn.name] >= self.breaker_threshold
-                and conn.name not in benched
-            ):
-                benched.add(conn.name)
-                tally({"worker_quarantines": 1})
-                bus = get_bus()
-                if bus is not None:
-                    record_net_event(bus, "worker_quarantine")
-                send(conn, {"type": "quarantine"})
-                retire_conn(conn, "quarantine")
-
-        def close_conn(conn) -> None:
-            conns.pop(conn.sock.fileno(), None)
-            try:
-                sel.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-
-        def retire_conn(conn, reason: str) -> None:
-            """Drop one connection; spend a rung per in-flight window.
-
-            Every in-flight task rides the ladder (not just the head,
-            as the pool does): over a lossy transport the server cannot
-            know which of them the worker half-served, and unbounded
-            free requeues would let a flapping link retry forever.
-            """
-            if conn.name is not None and workers.get(conn.name) is conn:
-                del workers[conn.name]
-            close_conn(conn)
-            pending = list(conn.in_flight.values())
-            conn.in_flight.clear()
-            for task, _deadline in pending:
-                if task[0] in state.results or task[0] in state.failed:
-                    continue
-                next_attempt(
-                    task, (f"net_{reason}",),
-                    f"connection to worker {conn.name!r} lost "
-                    f"({reason}) with the window in flight",
-                    reason=reason,
-                )
-
-        def merge_net_fired(name: str, fired) -> None:
-            """Fold a worker's cumulative gate counters into resilience.
-
-            Deltas are taken against the per-worker cumulative stored
-            in the checkpoint namespaces, so reconnects and server
-            restarts never double-count an injection.
-            """
-            if not fired:
-                return
-            stored = namespace(name).setdefault("net_fired", {})
-            delta = {}
-            for kind, count in fired.items():
-                seen = stored.get(kind, 0)
-                if count < seen:
-                    seen = 0  # the worker itself restarted
-                if count > seen:
-                    delta[f"fault:{kind}"] = count - seen
-                stored[kind] = count
-            if delta:
-                tally(delta)
-
-        def accept_result(conn, msg, payload) -> None:
-            nonlocal accepted
-            index = msg["index"]
-            take_in_flight(index)
-            result, stats_delta = payload
-            if index in state.results:
-                if not self._resilient:
-                    raise SimulationError(
-                        f"window {index} was served twice — "
-                        "sharding bug"
-                    )
-                tally({"late_results": 1})
-                return
-            if index in state.failed:
-                del state.failed[index]
-                tally({"quarantine_rescues": 1})
-            fail_kinds.pop(index, None)
-            state.results[index] = result
-            merge_counts(state.store_stats, stats_delta)
-            namespace(conn.name)["served"] = (
-                namespace(conn.name).get("served", 0) + 1
-            )
-            accepted += 1
-            bus = get_bus()
-            if bus is not None:
-                record_window(bus, result, stats_delta, worker=conn.name)
-            if msg.get("force_reference"):
-                tally({"reference_recoveries": 1})
-            mark()
-
-        def on_frame(conn, msg, payload) -> None:
-            nonlocal failure, ever_ready
-            conn.last_seen = time.monotonic()
-            kind = msg.get("type")
-            if kind != "hello" and conn.name is None:
-                # Data frames from a peer that never registered: a
-                # protocol violation, not a scheduling event.
-                strike(conn)
-                return
-            if kind == "hello":
-                name = msg.get("name") or f"anon-{conn.sock.fileno()}"
-                if name in benched:
-                    send(conn, {"type": "quarantine"})
-                    close_conn(conn)
-                    return
-                stale = workers.get(name)
-                if stale is not None and stale is not conn:
-                    # The worker reconnected before its old connection
-                    # was detected dead: retire the half-open husk.
-                    retire_conn(stale, "disconnect")
-                conn.name = name
-                workers[name] = conn
-                if name in known:
-                    tally({"net_reconnects": 1})
-                    namespace(name)["reconnects"] = (
-                        namespace(name).get("reconnects", 0) + 1
-                    )
-                    bus = get_bus()
-                    if bus is not None:
-                        record_net_event(bus, "reconnect")
-                known.add(name)
-                namespace(name)  # registration is durable bookkeeping
-                if msg.get("spec_digest") == spec_digest:
-                    # Warm reconnect: platform already built.
-                    conn.ready = True
-                    conn.engine = msg.get("engine") or None
-                    if conn.engine:
-                        engines.add(conn.engine)
-                else:
-                    send(conn, {
-                        "type": "spec", "digest": spec_digest,
-                    }, payload=spec_payload)
-            elif kind == "ready":
-                conn.ready = True
-                conn.engine = msg.get("engine") or None
-                if conn.engine:
-                    engines.add(conn.engine)
-            elif kind == "result":
-                merge_net_fired(conn.name, msg.get("net_fired"))
-                accept_result(conn, msg, payload)
-            elif kind == "retry":
-                merge_net_fired(conn.name, msg.get("net_fired"))
-                kinds = tuple(msg.get("kinds") or ("unknown",))
-                tally({f"fault:{k}": 1 for k in kinds})
-                entry = conn.in_flight.pop(msg["index"], None)
-                if entry is None:
-                    entry = take_in_flight(msg["index"])
-                if entry is None:
-                    tally({"late_results": 1})
-                    return
-                next_attempt(
-                    entry[0], kinds,
-                    "faults fired on every attempt "
-                    f"(last: {', '.join(kinds)})",
-                    reason="fault",
-                )
-            elif kind == "err":
-                if failure is None:
-                    failure = (conn.name, msg.get("index"), payload)
-                abort.set()
-            elif kind == "hb":
-                merge_net_fired(conn.name, msg.get("net_fired"))
-            # Unknown frame types are ignored: wire compatibility.
-
-        def read_conn(conn) -> None:
-            try:
-                data = conn.sock.recv(1 << 16)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                tally({"net_disconnects": 1})
-                retire_conn(conn, "disconnect")
-                return
-            if not data:
-                if conn.name is not None:
-                    tally({"net_disconnects": 1})
-                retire_conn(conn, "disconnect")
-                return
-            conn.buffer.feed(data)
-            bus = get_bus()
-            while True:
-                try:
-                    item = conn.buffer.pop()
-                except FrameError:
-                    # Desynced or hostile byte stream: the connection
-                    # is unusable. In-flight windows ride the ladder;
-                    # a real worker will reconnect.
-                    tally({"net_desyncs": 1})
-                    strike(conn)
-                    retire_conn(conn, "desync")
-                    return
-                if item is None:
-                    return
-                if item[0] == "bad":
-                    tally({"net_checksum_failures": 1})
-                    if bus is not None:
-                        record_net_event(bus, "checksum_failure")
-                    strike(conn)
-                    continue
-                if bus is not None:
-                    record_net_frames(bus, "in")
-                try:
-                    on_frame(conn, item[1], item[2])
-                except (KeyError, TypeError, ValueError, IndexError):
-                    # A structurally valid frame whose fields violate
-                    # the protocol (hostile or byte-lucky corruption):
-                    # never the server's problem to crash over.
-                    tally({"net_protocol_errors": 1})
-                    strike(conn)
-                if conn.sock.fileno() < 0:
-                    return  # the frame handler closed the connection
-
-        def dispatch() -> None:
-            while True:
-                candidates = [
-                    c for c in workers.values()
-                    if c.ready and len(c.in_flight) < self.prefetch
-                ]
-                if not candidates:
-                    return
-                now = time.monotonic()
-                task = None
-                for i, (not_before, queued) in enumerate(requeue):
-                    if (
-                        queued[0] in state.results
-                        or queued[0] in state.failed
-                    ):
-                        del requeue[i]
-                        break
-                    if not_before <= now:
-                        task = queued
-                        del requeue[i]
-                        break
-                else:
-                    try:
-                        index, start, samples = ready_q.get_nowait()
-                    except queue.Empty:
-                        return
-                    if index in state.results:
-                        continue
-                    task = (index, start, samples, 0, False)
-                if task is None:
-                    continue  # a done requeue entry was pruned
-                conn = min(
-                    candidates, key=lambda c: len(c.in_flight)
-                )
-                deadline = (
-                    now + self.task_deadline
-                    if self.task_deadline is not None else None
-                )
-                conn.in_flight[task[0]] = (task, deadline)
-                action = send(conn, {
-                    "type": "task",
-                    "index": task[0],
-                    "attempt": task[3],
-                    "force_reference": task[4],
-                }, payload=(task[1], task[2]), gated=True)
-                if action in ("disconnect", "peer_gone"):
-                    tally({"net_disconnects": 1})
-                    retire_conn(conn, "disconnect")
-                # "dropped" frames wait for their deadline; "sent" and
-                # duplicated/delayed frames need nothing more.
-
-        def scan(now: float) -> None:
-            for conn in list(conns.values()):
-                if (
-                    conn.name is None
-                    and now - conn.connected_at > _HELLO_TIMEOUT
-                ):
-                    close_conn(conn)  # silent stranger
-            if self.heartbeat_timeout is not None:
-                for conn in list(workers.values()):
-                    if now - conn.last_seen > self.heartbeat_timeout:
-                        tally({"net_heartbeat_misses": 1})
-                        bus = get_bus()
-                        if bus is not None:
-                            record_net_event(bus, "heartbeat_miss")
-                        strike(conn)
-                        if conn.name in workers:
-                            retire_conn(conn, "heartbeat")
-            if self.task_deadline is not None:
-                for conn in list(workers.values()):
-                    for index, (task, deadline) in list(
-                        conn.in_flight.items()
-                    ):
-                        if deadline is not None and now > deadline:
-                            conn.in_flight.pop(index, None)
-                            tally({"net_deadline_misses": 1})
-                            strike(conn)
-                            next_attempt(
-                                task, ("net_deadline",),
-                                f"window {index} blew its "
-                                f"{self.task_deadline}s deadline on "
-                                f"worker {conn.name!r}",
-                                reason="deadline",
-                            )
-
+        ledger = WindowLedger(
+            session, feeder,
+            max_retries=self.max_retries,
+            reference_fallback=self.reference_fallback,
+            resilient=self._resilient,
+            backoff=self._backoff,
+        )
+        loop = _EventLoop(self, ledger, *self._spec_frame(stream))
         try:
-            while failure is None:
-                if state.n_done + state.n_failed >= total:
-                    break
-                if (
-                    self.stop_after is not None
-                    and accepted >= self.stop_after
-                ):
-                    verdict = "stopped"
-                    break
-                for key, _events in sel.select(timeout=_TICK_SECONDS):
-                    if key.data == "listen":
-                        try:
-                            sock, addr = self._listener.accept()
-                        except OSError:
-                            continue
-                        sock.settimeout(_CONN_TIMEOUT)
-                        conn = _Conn(sock, addr)
-                        conns[sock.fileno()] = conn
-                        sel.register(
-                            sock, selectors.EVENT_READ, conn
-                        )
-                    else:
-                        read_conn(key.data)
-                if failure is not None or feed_failure:
-                    break
-                now = time.monotonic()
-                scan(now)
-                alive = [c for c in workers.values() if c.ready]
-                if alive:
-                    ever_ready = True
-                    last_alive = now
-                elif not ever_ready and now > reg_deadline:
-                    if self.local_fallback:
-                        verdict = "degrade"
-                        break
-                    raise ConfigurationError(
-                        "no fleet workers registered within "
-                        f"{self.register_timeout}s and local_fallback "
-                        "is off"
-                    )
-                elif ever_ready and now - last_alive > max(
-                    self.register_timeout,
-                    self.heartbeat_timeout or 0.0,
-                ):
-                    # Lost the whole fleet mid-run: last ladder rung.
-                    if self.local_fallback:
-                        tally({"local_degradations": 1})
-                        self._serve_locally(stream, state, mark)
-                        break
-                    failure = (
-                        "fleet", None,
-                        "every fleet worker was lost mid-stream and "
-                        "local_fallback is off",
-                    )
-                    break
-                dispatch()
-                bus = get_bus()
-                if bus is not None:
-                    record_net_state(bus, len(alive), sum(
-                        len(c.in_flight) for c in workers.values()
-                    ))
-                    record_progress(
-                        bus, state.n_done + state.n_failed, total,
-                        wall_base + time.perf_counter() - wall_start,
-                    )
-                if (
-                    feed_done.is_set() and ready_q.empty()
-                    and not requeue
-                    and not any(
-                        c.in_flight for c in workers.values()
-                    )
-                    and alive
-                    and state.n_done + state.n_failed < total
-                ):
-                    failure = (
-                        "fleet", None,
-                        "fleet stalled with "
-                        f"{state.n_done + state.n_failed}/{total} "
-                        "windows accounted — sharding bug",
-                    )
-            if failure is None and verdict == "served" and \
-                    state.complete:
-                for conn in list(workers.values()):
-                    send(conn, {"type": "fin"})
-        except BaseException:
-            if checkpoint is not None:
-                flush_session(state, checkpoint, wall_base, wall_start)
-            raise
+            verdict = loop.serve(stream)
         finally:
-            abort.set()
-            feeder.join(timeout=10.0)
-            while True:
-                try:
-                    ready_q.get_nowait()
-                except queue.Empty:
-                    break
-            for conn in list(conns.values()):
-                close_conn(conn)
-            sel.close()
-        if failure is None and feed_failure:
-            failure = (
-                "feeder", None,
-                f"trace slicing failed mid-stream:\n{feed_failure[0]}",
-            )
-        if failure is not None:
-            if checkpoint is not None:
-                flush_session(state, checkpoint, wall_base, wall_start)
-            raise PoolWorkerError(*failure)
-        if len(engines) > 1:
-            raise SimulationError(
-                "fleet workers disagree on the engine: "
-                f"{sorted(engines)}"
-            )
-        return verdict, (engines.pop() if engines else self.engine)
+            loop.close()
+            ledger.feeder.close()
+        if verdict == "degrade":
+            return None
+        return ledger.finish(
+            "fleet", self.engine, stopped=verdict == "stopped"
+        )
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_cap, self.retry_backoff * (2 ** attempt))
 
-    def _serve_locally(self, stream, state, mark) -> None:
+
+class _EventLoop:
+    """The fleet's half of supervision: sockets, registration, liveness.
+
+    Windows are the ledger's business; this :mod:`selectors` loop moves
+    tasks over connections and turns what happens to those connections
+    into ledger events — hello/spec registration, heartbeats, the
+    circuit breaker and the degradation rungs. A lost connection charges
+    one rung of the retry ladder to *every* task in flight on it: over a
+    lossy transport the server cannot know which of them the worker
+    half-served, and free requeues would let a flapping link retry
+    forever.
+    """
+
+    def __init__(self, server: FleetServer, ledger, spec_payload,
+                 spec_digest: str) -> None:
+        self.server = server
+        self.ledger = ledger
+        self.state = ledger.state
+        self.spec_payload = spec_payload
+        self.spec_digest = spec_digest
+        plan = server.fault_plan
+        self.task_gate = NetGate(
+            plan.specs if plan is not None else (), side="task"
+        )
+        self.sel = selectors.DefaultSelector()
+        self.sel.register(server._listener, selectors.EVENT_READ, "listen")
+        self.conns = {}      # fileno -> _Conn (every accepted connection)
+        self.workers = {}    # name -> _Conn (registered)
+        # Names ever registered — seeded from the checkpoint namespaces
+        # so a worker re-registering after a *server* restart counts as
+        # the reconnect it is from the worker's point of view.
+        self.known = set(self.state.namespaces)
+        self.strikes = {}    # name -> circuit-breaker strikes
+        self.benched = set()  # names quarantined by the breaker
+
+    def namespace(self, name: str) -> dict:
+        return self.state.namespaces.setdefault(name, {})
+
+    def count(self, name: str, key: str) -> None:
+        space = self.namespace(name)
+        space[key] = space.get(key, 0) + 1
+
+    # -- connections ---------------------------------------------------------
+
+    def send(self, conn, msg, payload=None, gated=False) -> str:
+        try:
+            if gated and self.task_gate.specs:
+                action = self.task_gate.send(conn.sock, msg, payload)
+            else:
+                send_frame(conn.sock, msg, payload)
+                action = "sent"
+        except (OSError, socket.timeout):
+            return "peer_gone"
+        bus = get_bus()
+        if bus is not None and action != "dropped":
+            record_net_frames(bus, "out")
+        return action
+
+    def accept(self) -> None:
+        try:
+            sock, addr = self.server._listener.accept()
+        except OSError:
+            return
+        sock.settimeout(_CONN_TIMEOUT)
+        conn = _Conn(sock, addr)
+        self.conns[sock.fileno()] = conn
+        self.sel.register(sock, selectors.EVENT_READ, conn)
+
+    def close_conn(self, conn) -> None:
+        self.conns.pop(conn.sock.fileno(), None)
+        try:
+            self.sel.unregister(conn.sock)
+        except (KeyError, ValueError):
+            pass
+        try:
+            conn.sock.close()
+        except OSError:
+            pass
+
+    def retire(self, conn, reason: str) -> None:
+        """Drop one connection; spend a rung per window in flight on it."""
+        if conn.name is not None and self.workers.get(conn.name) is conn:
+            del self.workers[conn.name]
+            for task in self.ledger.release(conn.name):
+                self.ledger.spoil(
+                    task, (f"net_{reason}",),
+                    f"connection to worker {conn.name!r} lost ({reason}) "
+                    "with the window in flight",
+                    reason=reason,
+                )
+        self.close_conn(conn)
+
+    def strike(self, conn) -> None:
+        threshold = self.server.breaker_threshold
+        if conn.name is None or threshold is None:
+            return
+        self.strikes[conn.name] = self.strikes.get(conn.name, 0) + 1
+        if self.strikes[conn.name] >= threshold \
+                and conn.name not in self.benched:
+            self.benched.add(conn.name)
+            self.ledger.tally({"worker_quarantines": 1})
+            bus = get_bus()
+            if bus is not None:
+                record_net_event(bus, "worker_quarantine")
+            self.send(conn, {"type": "quarantine"})
+            self.retire(conn, "quarantine")
+
+    # -- inbound frames ------------------------------------------------------
+
+    def merge_net_fired(self, name: str, fired) -> None:
+        """Fold a worker's cumulative gate counters into resilience.
+
+        Deltas are taken against the per-worker cumulative stored in
+        the checkpoint namespaces, so reconnects and server restarts
+        never double-count an injection.
+        """
+        if not fired:
+            return
+        stored = self.namespace(name).setdefault("net_fired", {})
+        delta = {}
+        for kind, count in fired.items():
+            seen = stored.get(kind, 0)
+            if count < seen:
+                seen = 0  # the worker itself restarted
+            if count > seen:
+                delta[f"fault:{kind}"] = count - seen
+            stored[kind] = count
+        if delta:
+            self.ledger.tally(delta)
+
+    def hello(self, conn, msg) -> None:
+        name = msg.get("name") or f"anon-{conn.sock.fileno()}"
+        if name in self.benched:
+            self.send(conn, {"type": "quarantine"})
+            self.close_conn(conn)
+            return
+        stale = self.workers.get(name)
+        if stale is not None and stale is not conn:
+            # The worker reconnected before its old connection was
+            # detected dead: retire the half-open husk.
+            self.retire(stale, "disconnect")
+        conn.name = name
+        self.workers[name] = conn
+        if name in self.known:
+            self.ledger.tally({"net_reconnects": 1})
+            self.count(name, "reconnects")
+            bus = get_bus()
+            if bus is not None:
+                record_net_event(bus, "reconnect")
+        self.known.add(name)
+        self.namespace(name)  # registration is durable bookkeeping
+        if msg.get("spec_digest") == self.spec_digest:
+            self.ready(conn, msg.get("engine"))  # warm reconnect
+        else:
+            self.send(conn, {
+                "type": "spec", "digest": self.spec_digest,
+            }, payload=self.spec_payload)
+
+    def ready(self, conn, engine) -> None:
+        conn.ready = True
+        if engine:
+            self.ledger.engines.add(engine)
+
+    def ready_workers(self) -> list:
+        return [name for name, conn in self.workers.items() if conn.ready]
+
+    def on_frame(self, conn, msg, payload) -> None:
+        conn.last_seen = time.monotonic()
+        kind = msg.get("type")
+        if kind != "hello" and conn.name is None:
+            # Data frames from a peer that never registered: a protocol
+            # violation, not a scheduling event.
+            self.strike(conn)
+            return
+        ledger = self.ledger
+        if kind == "hello":
+            self.hello(conn, msg)
+        elif kind == "ready":
+            self.ready(conn, msg.get("engine"))
+        elif kind == "result":
+            self.merge_net_fired(conn.name, msg.get("net_fired"))
+            result, stats_delta = payload
+            verdict = ledger.result(
+                msg["index"], result, stats_delta, conn.name,
+                bool(msg.get("force_reference")),
+            )
+            if verdict == "accepted":
+                self.count(conn.name, "served")
+            elif verdict == "invalid":
+                self.strike(conn)
+        elif kind == "retry":
+            self.merge_net_fired(conn.name, msg.get("net_fired"))
+            ledger.spoiled(
+                msg["index"], tuple(msg.get("kinds") or ("unknown",)),
+                reason="fault",
+            )
+        elif kind == "err":
+            ledger.fail(conn.name, msg.get("index"), payload)
+        elif kind == "hb":
+            self.merge_net_fired(conn.name, msg.get("net_fired"))
+        # Unknown frame types are ignored: wire compatibility.
+
+    def read_conn(self, conn) -> None:
+        ledger = self.ledger
+        try:
+            data = conn.sock.recv(1 << 16)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            ledger.tally({"net_disconnects": 1})
+            self.retire(conn, "disconnect")
+            return
+        if not data:
+            if conn.name is not None:
+                ledger.tally({"net_disconnects": 1})
+            self.retire(conn, "disconnect")
+            return
+        conn.buffer.feed(data)
+        bus = get_bus()
+        while True:
+            try:
+                item = conn.buffer.pop()
+            except FrameError:
+                # Desynced or hostile byte stream: the connection is
+                # unusable. In-flight windows ride the ladder; a real
+                # worker will reconnect.
+                ledger.tally({"net_desyncs": 1})
+                self.strike(conn)
+                self.retire(conn, "desync")
+                return
+            if item is None:
+                return
+            if item[0] == "bad":
+                ledger.tally({"net_checksum_failures": 1})
+                if bus is not None:
+                    record_net_event(bus, "checksum_failure")
+                self.strike(conn)
+                continue
+            if bus is not None:
+                record_net_frames(bus, "in")
+            try:
+                self.on_frame(conn, item[1], item[2])
+            except (KeyError, TypeError, ValueError, IndexError):
+                # A structurally valid frame whose fields violate the
+                # protocol (hostile or byte-lucky corruption): never the
+                # server's problem to crash over.
+                ledger.tally({"net_protocol_errors": 1})
+                self.strike(conn)
+            if conn.sock.fileno() < 0:
+                return  # the frame handler closed the connection
+
+    # -- scheduling ----------------------------------------------------------
+
+    def dispatch(self) -> None:
+        server = self.server
+        for task, name in self.ledger.assign(
+            self.ready_workers, server.prefetch, server.task_deadline
+        ):
+            conn = self.workers[name]
+            action = self.send(conn, {
+                "type": "task",
+                "index": task.index,
+                "attempt": task.attempt,
+                "force_reference": task.force_reference,
+            }, payload=(task.start, task.samples), gated=True)
+            if action in ("disconnect", "peer_gone"):
+                self.ledger.tally({"net_disconnects": 1})
+                self.retire(conn, "disconnect")
+            # "dropped" frames wait for their deadline; "sent" and
+            # duplicated/delayed frames need nothing more.
+
+    def scan(self, now: float) -> None:
+        ledger = self.ledger
+        server = self.server
+        for conn in list(self.conns.values()):
+            if conn.name is None and now - conn.connected_at > _HELLO_TIMEOUT:
+                self.close_conn(conn)  # silent stranger
+        if server.heartbeat_timeout is not None:
+            for conn in list(self.workers.values()):
+                if now - conn.last_seen > server.heartbeat_timeout:
+                    ledger.tally({"net_heartbeat_misses": 1})
+                    bus = get_bus()
+                    if bus is not None:
+                        record_net_event(bus, "heartbeat_miss")
+                    self.strike(conn)
+                    self.retire(conn, "heartbeat")
+        for task, name in ledger.expired(now):
+            ledger.tally({"net_deadline_misses": 1})
+            if name in self.workers:
+                self.strike(self.workers[name])
+            ledger.spoil(
+                task, ("net_deadline",),
+                f"window {task.index} blew its {server.task_deadline}s "
+                f"deadline on worker {name!r}",
+                reason="deadline",
+            )
+
+    def serve(self, stream) -> str:
+        """Run the loop; returns ``"served"``, ``"stopped"``
+        (``stop_after`` ended the session early) or ``"degrade"`` (no
+        worker ever registered)."""
+        ledger = self.ledger
+        server = self.server
+        now = time.monotonic()
+        reg_deadline = now + server.register_timeout
+        last_alive = now
+        ever_ready = False
+        while ledger.running:
+            if server.stop_after is not None \
+                    and ledger.accepted >= server.stop_after:
+                return "stopped"
+            for key, _events in self.sel.select(timeout=_TICK_SECONDS):
+                if key.data == "listen":
+                    self.accept()
+                else:
+                    self.read_conn(key.data)
+            # A completed stream still refreshes the gauges below once.
+            if ledger.failure is not None or ledger.feeder.failure is not None:
+                break
+            now = time.monotonic()
+            self.scan(now)
+            alive = self.ready_workers()
+            if alive:
+                ever_ready = True
+                last_alive = now
+            elif not ever_ready and now > reg_deadline:
+                if server.local_fallback:
+                    return "degrade"
+                raise ConfigurationError(
+                    "no fleet workers registered within "
+                    f"{server.register_timeout}s and local_fallback is off"
+                )
+            elif ever_ready and now - last_alive > max(
+                server.register_timeout, server.heartbeat_timeout or 0.0,
+            ):
+                # Lost the whole fleet mid-run: last ladder rung.
+                if server.local_fallback:
+                    ledger.tally({"local_degradations": 1})
+                    self.serve_locally(stream)
+                    break
+                ledger.fail(
+                    "fleet", None,
+                    "every fleet worker was lost mid-stream and "
+                    "local_fallback is off",
+                )
+                break
+            self.dispatch()
+            bus = get_bus()
+            if bus is not None:
+                record_net_state(bus, len(alive), len(ledger.in_flight))
+            if alive:
+                ledger.check_stall("fleet", "fleet")
+        if ledger.failure is None and ledger.feeder.failure is None \
+                and self.state.complete:
+            for conn in list(self.workers.values()):
+                self.send(conn, {"type": "fin"})
+        return "served"
+
+    def serve_locally(self, stream) -> None:
         """The last degradation rung: finish the stream in-process.
 
-        Mirrors the inner loop of :meth:`StreamScheduler.run` over the
-        already-resumed state — the windows served remotely stay
-        exactly as accepted, the remainder is served on a fresh local
-        platform, and history independence makes the merge
-        bit-identical either way.
+        The same ledger carries on over a fresh local platform — windows
+        served remotely stay exactly as accepted, and history
+        independence makes the merge bit-identical either way.
         """
+        ledger = self.ledger
+        server = self.server
+        ledger.feeder.close()
+        ledger.feeder = Feeder(stream, self.state.results.__contains__)
         scheduler = StreamScheduler(
-            config=self.config,
-            runner=self._local.runner_factory(),
-            pipeline=self.pipeline,
-            double_buffer=self.double_buffer,
-            energy_model=self.energy_model,
-            fault_plan=self._platform_plan,
-            max_retries=self.max_retries,
-            reference_fallback=self.reference_fallback,
+            config=server.config,
+            runner=server._local.runner_factory(),
+            pipeline=server.pipeline,
+            double_buffer=server.double_buffer,
+            energy_model=server.energy_model,
+            fault_plan=server._platform_plan,
         )
-        log = []
-        scheduler.runner.launch_log = log
-        stats = scheduler.runner.soc.vwr2a.config_mem.stats
-        for window in stream:
-            if (
-                window.index in state.results
-                or window.index in state.failed
-            ):
-                continue
-            before = stats.snapshot()
-            bus = get_bus()
-            resilience_before = (
-                dict(state.resilience) if bus is not None else None
-            )
-            if scheduler._injector is None:
-                result = scheduler.serve_window(window, log)
-            else:
-                result = scheduler._serve_resilient(window, log, state)
-            if result is not None:
-                state.results[window.index] = result
-            stats_delta = stats.since(before)
-            merge_counts(state.store_stats, stats_delta)
-            if bus is not None:
-                if result is not None:
-                    record_window(
-                        bus, result, stats_delta, worker="local"
-                    )
-                else:
-                    record_failed(bus)
-                record_resilience(bus, {
-                    name: count - resilience_before.get(name, 0)
-                    for name, count in state.resilience.items()
-                    if count != resilience_before.get(name, 0)
-                })
-            mark()
+        scheduler.runner.launch_log = []
+        serve_in_process(
+            ledger, AttemptServer.in_process(scheduler), worker="local"
+        )
+
+    def close(self) -> None:
+        for conn in list(self.conns.values()):
+            self.close_conn(conn)
+        self.sel.close()

@@ -99,15 +99,16 @@ class FailedWindow:
     window's index, position and failure pedigree are preserved in
     :attr:`StreamReport.failed_windows` (and in the checkpoint, where a
     later resume gives it a fresh chance), while every other window's
-    result stays valid. ``kinds`` are the fault kinds the last attempt
-    detected; ``detail`` is the last failure's short description.
+    result stays valid. ``kinds`` are the distinct fault kinds that
+    spoiled its attempts; ``detail`` is the one summary line every
+    executor writes (see docs/robustness.md, "One supervision core").
     """
 
     index: int      #: window number within the stream
     start: int      #: sample offset of the window in the trace
     attempts: int   #: serving attempts consumed (including any fallback)
-    kinds: tuple    #: fault kinds detected on the final attempt
-    detail: str     #: human-readable reason of the final attempt
+    kinds: tuple    #: distinct fault kinds over all attempts, first seen first
+    detail: str     #: "exhausted N attempts; faults fired: ...[; last: ...]"
 
 
 @dataclass

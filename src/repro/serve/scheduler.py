@@ -26,32 +26,15 @@ per-launch cost the single-shot flow pays repeatedly:
 
 from __future__ import annotations
 
-import time
+import math
 
 from repro.app.mbiotracker import window_pipeline
 from repro.core.errors import ConfigurationError
 from repro.kernels.runner import KernelRunner
-from repro.obs.bus import get_bus
-from repro.obs.instruments import (
-    record_failed,
-    record_progress,
-    record_resilience,
-    record_window,
-)
-from repro.serve.checkpoint import (
-    CheckpointState,
-    finalize_session,
-    flush_session,
-    resume_session,
-    stream_fingerprint,
-)
-from repro.serve.report import (
-    FailedWindow,
-    StreamReport,
-    WindowResult,
-    app_energy_uj,
-    merge_counts,
-)
+from repro.serve.checkpoint import Session
+from repro.serve.ledger import Feeder, WindowLedger
+from repro.serve.report import StreamReport, WindowResult, app_energy_uj
+from repro.serve.stream import Window
 
 
 class StreamScheduler:
@@ -71,14 +54,11 @@ class StreamScheduler:
     SRAM-resident buffers through the runner yourself.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) turns on the
-    resilience layer of docs/robustness.md: faults are injected per
-    serving attempt, detected attempts are retried up to ``max_retries``
-    times, a final attempt may run on a reference-engine twin platform
-    (``reference_fallback``), and windows that exhaust the budget are
-    quarantined into :attr:`StreamReport.failed_windows` instead of
-    aborting the stream. Process faults (worker kill/hang) are counted
-    but never executed here — only :class:`~repro.serve.PoolScheduler`
-    workers are expendable.
+    retry ladder of docs/robustness.md (``max_retries``,
+    ``reference_fallback``, then quarantine into
+    :attr:`StreamReport.failed_windows`). Process faults (worker
+    kill/hang) are counted but never executed here — only pool workers
+    are expendable.
     """
 
     def __init__(self, config: str = "cpu_vwr2a",
@@ -105,7 +85,7 @@ class StreamScheduler:
             from repro.energy import default_model
 
             energy_model = default_model()
-        self.energy_model = energy_model if energy_model is not None else None
+        self.energy_model = energy_model
         if max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {max_retries}"
@@ -118,8 +98,7 @@ class StreamScheduler:
             from repro.faults.injector import FaultInjector
 
             self._injector = FaultInjector(fault_plan, process_faults=False)
-        self._ref_sched = None
-        self._ref_log = None
+        self._attempts = None  # the in-process AttemptServer, lazily
 
     def run(self, stream, checkpoint=None) -> StreamReport:
         """Serve every window of ``stream``; returns the stream report.
@@ -134,92 +113,33 @@ class StreamScheduler:
         session actually did).
         """
         runner = self.runner
-        soc = runner.soc
-        stats = soc.vwr2a.config_mem.stats
-        report = StreamReport(
-            config=self.config,
-            engine=soc.vwr2a.engine,
-            window=getattr(stream, "window", 0),
-            hop=getattr(stream, "hop", 0),
-            double_buffered=self.double_buffer,
-        )
-        if checkpoint is not None:
-            checkpoint, state = resume_session(checkpoint, stream_fingerprint(
-                stream, self.config, soc.vwr2a.engine,
-                self.double_buffer, pipeline=self.pipeline,
-                energy_model=self.energy_model,
-            ))
-        else:
-            # No checkpoint: a scratch state accumulates the session
-            # (same single code path, no O(trace) fingerprint hash).
-            state = CheckpointState(
-                fingerprint={"n_windows": getattr(stream, "n_windows", 0)}
-            )
-        log = runner.launch_log
-        owns_log = log is None
+        session = Session(stream, checkpoint, self)
+        owns_log = runner.launch_log is None
         if owns_log:
-            log = []
-            runner.launch_log = log
-        done_before = state.n_done + state.n_failed
-        wall_base = state.wall_seconds
-        wall_start = time.perf_counter()
+            runner.launch_log = []
+        if self._attempts is None:
+            self._attempts = AttemptServer.in_process(self)
         try:
-            for window in stream:
-                if window.index in state.results \
-                        or window.index in state.failed:
-                    continue
-                window_stats = stats.snapshot()
-                # Metrics are host-side bookkeeping over the window's
-                # results — off by default, and never feeding back into
-                # simulated state (see repro.obs.instruments).
-                bus = get_bus()
-                resilience_before = (
-                    dict(state.resilience) if bus is not None else None
+            with session:
+                ledger = WindowLedger(
+                    session, Feeder(stream, session.state.results.__contains__),
+                    max_retries=self.max_retries,
+                    reference_fallback=self.reference_fallback,
                 )
-                if self._injector is None:
-                    result = self.serve_window(window, log)
-                else:
-                    result = self._serve_resilient(window, log, state)
-                if result is not None:
-                    state.results[window.index] = result
-                stats_delta = stats.since(window_stats)
-                merge_counts(state.store_stats, stats_delta)
-                if bus is not None:
-                    if result is not None:
-                        record_window(bus, result, stats_delta)
-                    else:
-                        record_failed(bus)
-                    record_resilience(bus, {
-                        name: count - resilience_before.get(name, 0)
-                        for name, count in state.resilience.items()
-                    })
-                    record_progress(
-                        bus, state.n_done + state.n_failed,
-                        state.n_windows,
-                        wall_base + time.perf_counter() - wall_start,
-                    )
-                if checkpoint is not None:
-                    state.wall_seconds = \
-                        wall_base + time.perf_counter() - wall_start
-                    checkpoint.mark(state)
-        except BaseException:
-            # Mirror the pool's durability contract: flush completed
-            # windows before the failure propagates, whatever the
-            # cadence, so the resume re-serves nothing.
-            if checkpoint is not None \
-                    and state.n_done + state.n_failed > done_before:
-                flush_session(state, checkpoint, wall_base, wall_start)
-            raise
+                serve_in_process(ledger, self._attempts)
+                ledger.finish("sequential", self.engine)
         finally:
             if owns_log:
                 runner.launch_log = None
             if self.double_buffer:
                 # Leave the runner with its full staging area again.
-                runner.set_sram_region(0, soc.sram.n_words)
-        return finalize_session(
-            report, state, checkpoint, wall_base, wall_start,
-            served=state.n_done + state.n_failed > done_before,
-        )
+                runner.set_sram_region(0, runner.soc.sram.n_words)
+        return session.finalize(self.engine)
+
+    @property
+    def engine(self) -> str:
+        """Engine of this scheduler's platform."""
+        return self.runner.soc.vwr2a.engine
 
     # -- one window ---------------------------------------------------------
 
@@ -285,121 +205,145 @@ class StreamScheduler:
             kernel_energy_pj=kernel_energy,
         )
 
-    # -- fault-plan resilience ----------------------------------------------
 
-    def _serve_resilient(self, window, log, state):
-        """The retry ladder of one window under an armed fault plan.
+class AttemptServer:
+    """The attempt core: one platform, one serving *attempt* per task.
 
-        Attempts ``0 .. max_retries`` run on the primary engine; if every
-        one is spoiled by an injected fault, one final attempt may run on
-        the reference-engine twin (``reference_fallback``) — compiled and
-        reference results are bit-identical in cycles/events/energy, so
-        a reference recovery changes only the recorded engine decisions.
-        A window that exhausts the ladder is quarantined into
-        ``state.failed`` (and the stream keeps going); non-fault
-        exceptions propagate exactly as without a plan. Returns the
-        :class:`~repro.serve.WindowResult` or ``None`` on quarantine.
-        """
-        kinds = []
-        attempts = 0
-        result = None
-        for attempt in range(self.max_retries + 1):
-            attempts += 1
-            result, fired = self._attempt(window, log, attempt)
-            if result is not None:
-                break
-            kinds.extend(fired)
-            merge_counts(
-                state.resilience, {f"fault:{kind}": 1 for kind in fired}
-            )
-        if result is None and self.reference_fallback:
-            attempts += 1
-            result, fired = self._attempt(
-                window, log, attempts - 1, reference=True
-            )
-            if result is not None:
-                merge_counts(state.resilience, {"reference_recoveries": 1})
-            else:
-                kinds.extend(fired)
-                merge_counts(
-                    state.resilience,
-                    {f"fault:{kind}": 1 for kind in fired},
-                )
-        if attempts > 1:
-            merge_counts(state.resilience, {"retries": attempts - 1})
-        if result is not None:
-            return result
-        merge_counts(state.resilience, {"quarantined": 1})
-        state.failed[window.index] = FailedWindow(
-            index=window.index,
-            start=window.start,
-            attempts=attempts,
-            kinds=tuple(dict.fromkeys(kinds)),
-            detail=(
-                f"exhausted {attempts} attempts; faults fired: "
-                + ", ".join(kinds)
-            ),
+    Shared by every executor — pool worker processes, fleet workers and
+    the in-process :class:`StreamScheduler`. It arms the fault injector
+    when the job ships a plan and lazily builds a reference-engine twin
+    for fallback attempts. Built from a picklable
+    :class:`~repro.serve.pool._WorkerSpec` it owns its platform;
+    ``process_faults`` arms the suicidal kinds (``worker_kill`` /
+    ``worker_hang``) — pass ``False`` where killing the worker would
+    kill the host — and ``before_process_fault`` runs right before one
+    strikes (pool workers flush their result queue there, so SIGKILL
+    cannot tear a half-written message).
+    """
+
+    def __init__(self, spec, process_faults: bool = True,
+                 before_process_fault=None) -> None:
+        runner = spec.runner_factory()
+        scheduler = StreamScheduler(
+            config=spec.config,
+            runner=runner,
+            pipeline=spec.pipeline,
+            double_buffer=spec.double_buffer,
+            energy_model=spec.energy_model,
+            fault_plan=spec.fault_plan,
         )
-        return None
+        runner.launch_log = []
+        if spec.warm_samples is not None:
+            runner.warm(scheduler.pipeline, spec.warm_samples)
+        if scheduler._injector is not None:
+            scheduler._injector.process_faults = process_faults
+            scheduler._injector.before_process_fault = before_process_fault
+        self._bind(scheduler, owns_log=True)
 
-    def _attempt(self, window, log, attempt: int, reference: bool = False):
-        """One injected serving attempt; returns ``(result, fired)``.
+    @classmethod
+    def in_process(cls, scheduler: StreamScheduler) -> "AttemptServer":
+        """The attempt core of a sequential ``scheduler``: its platform,
+        its injector, and a launch log clean attempts leave entries on."""
+        server = cls.__new__(cls)
+        server._bind(scheduler, owns_log=False)
+        return server
 
-        A spoiled attempt (fired faults, or a fault-classified exception
-        such as :class:`~repro.core.errors.BrownoutError`) returns
-        ``(None, fired_kinds)`` after the injector healed the platform
-        and the attempt's launches were rolled off the log, so the next
-        attempt starts from the exact pre-fault state. Exceptions the
-        injector does not own — genuine pipeline bugs — re-raise.
+    def _bind(self, scheduler, owns_log: bool) -> None:
+        self._scheduler = scheduler
+        self._injector = scheduler._injector
+        self._owns_log = owns_log
+        self.engine = scheduler.runner.soc.vwr2a.engine
+        self._ref = None  # the lazy reference-engine twin scheduler
+
+    def _reference(self) -> StreamScheduler:
+        if self._ref is None:
+            primary = self._scheduler
+            # Same design point as the primary runner, golden engine:
+            # the replay must simulate the machine the primary failed
+            # on. Its launches land in a private log — the primary's
+            # history must not interleave with recovery attempts.
+            runner = KernelRunner(engine="reference", spec=primary.runner.spec)
+            runner.launch_log = []
+            self._ref = StreamScheduler(
+                config=primary.config,
+                runner=runner,
+                pipeline=primary.pipeline,
+                reset_sram=primary.reset_sram,
+                double_buffer=primary.double_buffer,
+                energy_model=primary.energy_model,
+            )
+        return self._ref
+
+    def serve(self, index: int, start: int, samples,
+              attempt: int, force_reference: bool):
+        """Serve one ``(index, start, samples, attempt, force_reference)``
+        attempt.
+
+        Returns ``("ok", result, stats_delta, force_reference)``, or
+        ``("retry", kinds)`` when injected faults spoiled the attempt —
+        after the platform healed and the attempt's launches rolled off
+        the log, so the next attempt starts from the exact pre-fault
+        state. Genuine (non-fault) failures propagate.
         """
-        from repro.faults.injector import is_fault_failure
-
-        if reference:
-            sched = self._reference_scheduler()
-            serve_log = self._ref_log
-            engine = "reference"
+        window = Window(index=index, start=start, samples=samples)
+        if force_reference:
+            scheduler, engine, owned = self._reference(), "reference", True
         else:
-            sched = self
-            serve_log = log
-            engine = self.runner.soc.vwr2a.engine
-        base = len(serve_log)
-        injected = self._injector.begin_attempt(
-            sched.runner, window, attempt, engine=engine
-        )
+            scheduler, engine, owned = (
+                self._scheduler, self.engine, self._owns_log
+            )
+        runner = scheduler.runner
+        log = runner.launch_log
+        stats = runner.soc.vwr2a.config_mem.stats
+        base = len(log)
+        before = stats.snapshot()
+        injector = self._injector
+        if injector is not None:
+            # worker_kill / worker_hang faults strike in here and never
+            # return — host/server supervision takes over.
+            window = injector.begin_attempt(
+                runner, window, attempt, engine=engine
+            )
         try:
-            result = sched.serve_window(injected, serve_log)
+            result = scheduler.serve_window(window, log)
             exc = None
         except Exception as err:
             result = None
             exc = err
-        fired = self._injector.end_attempt()
+        fired = injector.end_attempt() if injector is not None else ()
         if exc is None and not fired:
-            return result, ()
-        del serve_log[base:]
-        if exc is not None and not is_fault_failure(exc, fired):
-            raise exc
-        return None, fired or (type(exc).__name__,)
+            if owned:
+                # The result carries the window's launches; an owned log
+                # must not grow for the worker's whole lifetime.
+                del log[base:]
+            return ("ok", result, stats.since(before), force_reference)
+        del log[base:]
+        if exc is not None:
+            if injector is None:
+                raise exc
+            from repro.faults.injector import is_fault_failure
 
-    def _reference_scheduler(self) -> "StreamScheduler":
-        """The lazily-built reference-engine twin for fallback attempts.
+            if not is_fault_failure(exc, fired):
+                raise exc
+        return ("retry", tuple(fired) or (type(exc).__name__,))
 
-        A full scheduler on its own platform (same config, pipeline,
-        buffering and energy model) whose launches land in a private log
-        — the primary runner's launch history must not interleave with
-        recovery attempts. Built once, reused for every fallback.
-        """
-        if self._ref_sched is None:
-            self._ref_log = []
-            # Same design point, golden engine: the replay must simulate
-            # the machine the primary runner failed on.
-            runner = KernelRunner(engine="reference", spec=self.runner.spec)
-            runner.launch_log = self._ref_log
-            self._ref_sched = StreamScheduler(
-                config=self.config,
-                runner=runner,
-                pipeline=self.pipeline,
-                reset_sram=self.reset_sram,
-                double_buffer=self.double_buffer,
-                energy_model=self.energy_model,
-            )
-        return self._ref_sched
+
+def serve_in_process(ledger, attempts: AttemptServer, worker=None) -> None:
+    """Drive ``ledger`` to the end of its stream with in-process calls.
+
+    The sequential transport: every task the ledger hands out is served
+    right here through ``attempts``, so a spoiled attempt's retry is
+    served — without backoff, nothing is in transit — before the next
+    fresh window. Genuine pipeline exceptions propagate to the caller.
+    """
+    while ledger.running:
+        task = ledger.next_task(now=math.inf)
+        if task is None:
+            return
+        ledger.dispatched(task, worker)
+        verdict = attempts.serve(*task)
+        if verdict[0] == "ok":
+            _, result, stats_delta, forced = verdict
+            ledger.result(task.index, result, stats_delta, worker, forced)
+        else:
+            ledger.spoiled(task.index, verdict[1])
