@@ -176,8 +176,9 @@ class ArchSpec:
     the host platform (:class:`SocParams`) and the energy-calibration
     scaling knobs (:class:`EnergyScaling`). Everything that consumes
     geometry — ``Vwr2a``/``BiosignalSoC``/``KernelRunner`` construction,
-    the engine's structural memo keys, ``repro.energy`` table calibration,
-    and the ``repro.explore`` design-space sweeps — takes a spec (or the
+    the structure table's per-``params`` slots (compiled programs, SPM
+    footprints), ``repro.energy`` table calibration, and the
+    ``repro.explore`` design-space sweeps — takes a spec (or the
     ``ArchParams`` projection it carries) so two specs can never share
     state they do not agree on.
 

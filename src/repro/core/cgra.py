@@ -105,7 +105,8 @@ class Vwr2a:
         else:
             spec = ArchSpec(arch=params)
         #: The full design point this instance was built from. ``params``
-        #: stays the geometry projection every structural memo keys on.
+        #: stays the geometry projection the structure table's compiled
+        #: programs and footprints are keyed on.
         self.spec = spec
         self.params = params
         self._engine = make_engine(engine)
@@ -134,12 +135,8 @@ class Vwr2a:
     def store_kernel(self, config: KernelConfig) -> None:
         """Validate (including hazards) and store a kernel configuration.
 
-        Encoding and hazard checks are cached structurally in the
-        configuration memory (``config_mem.stats`` exposes the counters),
-        so re-storing a structurally identical kernel — the FFT engines
-        regenerate theirs every launch, and the runner/``execute`` flows
-        historically stored twice — performs zero re-encoding and zero
-        hazard re-checks.
+        Cheap for regenerated kernels: see
+        :meth:`~repro.core.config_mem.ConfigurationMemory.store`.
         """
         self.config_mem.store(config)
 
@@ -149,9 +146,10 @@ class Vwr2a:
         Returns the cycle cost (one cycle per configuration word plus one
         per initial SRF entry, per column). Under the ``auto`` and
         ``compiled`` engines this is also where the cross-column SPM
-        analysis runs — its verdict is cached on the stored configuration
+        analysis runs — its verdict is stamped on the stored configuration
         object (``config_mem.stats.analysis_hits``), so warm launches of
-        regenerated kernels skip re-analysis entirely.
+        regenerated kernels, which dedup onto that object, skip
+        re-analysis entirely.
         """
         config = self.config_mem.get(name)
         if self._engine.name != "reference":
@@ -172,15 +170,13 @@ class Vwr2a:
         return config_words + srf_writes
 
     def _conflict_report(self, config: KernelConfig):
-        """SPM-conflict verdict of ``config``, cached on the config object.
+        """SPM-conflict verdict of ``config``, stamped on the config object.
 
-        The structural store cache dedupes regenerated kernels onto one
-        stored :class:`KernelConfig`, so stamping the verdict on that
-        object makes every warm launch a plain attribute read — no
-        fingerprint hashing, no memo lookup (the analysis memo in
-        :mod:`repro.engine.conflicts` still backs cold misses).
-        ``config_mem.stats.analysis_hits/analysis_misses`` count the cache
-        behaviour.
+        The configuration memory dedupes regenerated kernels onto one
+        stored :class:`KernelConfig`, so the stamp makes every warm launch
+        a plain attribute read; a cold miss intersects the footprints
+        cached on the structure table. ``config_mem.stats.analysis_hits``
+        and ``analysis_misses`` count the two paths.
         """
         stats = self.config_mem.stats
         cached = config.__dict__.get("_analysis")
@@ -188,14 +184,9 @@ class Vwr2a:
             stats.analysis_hits += 1
             return cached[1]
         stats.analysis_misses += 1
-        if len(config.columns) > 1:
-            from repro.engine.conflicts import analyze_columns
+        from repro.engine.conflicts import analyze_columns
 
-            report = analyze_columns(config.columns, self.params)
-        else:
-            from repro.engine.conflicts import EMPTY_REPORT
-
-            report = EMPTY_REPORT
+        report = analyze_columns(config.columns, self.params)
         config._analysis = (self.params, report)
         return report
 

@@ -7,13 +7,11 @@ binary encodings (``repro.isa.encoding``), so the capacity accounting and
 the load-cycle cost are real.
 
 Because the FFT engines regenerate structurally identical kernels on every
-launch (fresh objects, same code, different ``srf_init``), ``store`` keeps
-two structural caches keyed on the bundle sequence:
-
-* **encode cache** — configuration-word encodings, so re-storing identical
-  code performs zero re-encoding;
-* **hazard cache** — via :func:`repro.core.hazards.check_program_cached`,
-  so re-storing identical code performs zero hazard re-checks.
+launch (fresh objects, same code, different ``srf_init``), ``store`` reads
+the configuration words off the program's entry in the structure table
+(:attr:`repro.isa.program.ColumnProgram.structure`): a bundle sequence is
+hazard-checked and encoded once per process, and the entry gets its words
+only once the check passes, so a hazardous program raises every time.
 
 A store whose name, code *and* ``srf_init`` all match the kernel already
 in the memory is deduplicated outright (``stats.dedup_hits``), which makes
@@ -23,16 +21,12 @@ the historical double-store flow (``KernelRunner.store`` followed by
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
 from repro.core.errors import ConfigurationError
-from repro.core.hazards import check_program_cached
+from repro.core.hazards import check_program
 from repro.isa.encoding import bundle_bits, encode_bundle
 from repro.isa.program import KernelConfig
-
-#: Encode-cache capacity (bundle sequences, FIFO-evicted).
-_ENCODE_CAP = 512
 
 
 @dataclass
@@ -41,7 +35,7 @@ class StoreStats:
 
     stores: int = 0         #: store() calls
     dedup_hits: int = 0     #: identical name+code+srf_init: store skipped
-    encode_hits: int = 0    #: per-column encode cache hits
+    encode_hits: int = 0    #: per-column encodes already in the table
     encode_misses: int = 0  #: per-column encodes actually performed
     hazard_hits: int = 0    #: per-column hazard re-checks skipped
     hazard_misses: int = 0  #: per-column hazard checks actually run
@@ -81,76 +75,34 @@ class ConfigurationMemory:
     def __init__(self, params) -> None:
         self.params = params
         self._kernels = {}
-        self._encoded = {}
-        self._encode_cache = OrderedDict()
         self.stats = StoreStats()
-
-    # -- structural caches -------------------------------------------------
-
-    def _encode_program(self, program) -> tuple:
-        key = tuple(program.bundles)
-        words = self._encode_cache.get(key)
-        if words is not None:
-            self.stats.encode_hits += 1
-            self._encode_cache.move_to_end(key)
-            return words
-        self.stats.encode_misses += 1
-        words = tuple(encode_bundle(b) for b in key)
-        self._encode_cache[key] = words
-        if len(self._encode_cache) > _ENCODE_CAP:
-            self._encode_cache.popitem(last=False)
-        return words
-
-    def _is_duplicate(self, config: KernelConfig) -> bool:
-        """True when ``config`` matches the stored kernel of that name."""
-        existing = self._kernels.get(config.name)
-        if existing is None:
-            return False
-        if existing is config:
-            return True
-        if existing.columns.keys() != config.columns.keys():
-            return False
-        for col, program in config.columns.items():
-            stored = existing.columns[col]
-            if tuple(stored.bundles) != tuple(program.bundles):
-                return False
-            if stored.srf_init != program.srf_init:
-                return False
-        return True
-
-    # -- store / fetch ------------------------------------------------------
 
     def store(self, config: KernelConfig) -> None:
         """Validate, hazard-check, encode and store a kernel configuration.
 
-        All three steps are cached structurally (see the module docstring);
-        a byte-identical re-store of an already-stored kernel only stamps
-        the configuration-word fingerprints on the fresh program objects.
+        The hazard check and the encoding run once per bundle sequence per
+        process (see the module docstring).
         """
-        self.stats.stores += 1
-        if self._is_duplicate(config):
-            self.stats.dedup_hits += 1
-            encoded = self._encoded[config.name]
-            for col, program in config.columns.items():
-                program._fingerprint = encoded[col]
+        stats = self.stats
+        stats.stores += 1
+        existing = self._kernels.get(config.name)
+        if existing is not None and (
+            existing is config or existing.columns == config.columns
+        ):
+            stats.dedup_hits += 1
             return
         config.validate(self.params)
-        encoded = {}
-        for col, program in config.columns.items():
-            if check_program_cached(program.bundles):
-                self.stats.hazard_hits += 1
+        for program in config.columns.values():
+            entry = program.structure
+            if entry.words is None:
+                check_program(entry.bundles)
+                entry.words = tuple(encode_bundle(b) for b in entry.bundles)
+                stats.hazard_misses += 1
+                stats.encode_misses += 1
             else:
-                self.stats.hazard_misses += 1
-            words = self._encode_program(program)
-            # Encode/decode are exact inverses, so the configuration words
-            # are a lossless structural fingerprint; the compiled engine
-            # and the SPM-conflict analysis key their memos on it (hashing
-            # ints, not instruction trees — kernels regenerated per launch
-            # hit the memos cheaply).
-            program._fingerprint = words
-            encoded[col] = words
+                stats.hazard_hits += 1
+                stats.encode_hits += 1
         self._kernels[config.name] = config
-        self._encoded[config.name] = encoded
 
     def get(self, name: str) -> KernelConfig:
         if name not in self._kernels:
@@ -162,8 +114,10 @@ class ConfigurationMemory:
 
     def encoded(self, name: str) -> dict:
         """Binary configuration words of a stored kernel, per column."""
-        self.get(name)
-        return self._encoded[name]
+        return {
+            col: program.structure.words
+            for col, program in self.get(name).columns.items()
+        }
 
     def __contains__(self, name: str) -> bool:
         return name in self._kernels
@@ -175,7 +129,7 @@ class ConfigurationMemory:
         """Total configuration storage currently used, in bits."""
         word_bits = bundle_bits(self.params.rcs_per_column)
         return sum(
-            word_bits * len(words)
-            for encoded in self._encoded.values()
-            for words in encoded.values()
+            word_bits * len(program)
+            for config in self._kernels.values()
+            for program in config.columns.values()
         )

@@ -23,16 +23,9 @@ Rules enforced per bundle:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.core.errors import StructuralHazardError
 from repro.isa.bundle import Bundle
 from repro.isa.fields import RCSrcKind
-
-#: Structural memo of hazard-clean bundle sequences (FIFO-evicted).
-#: Failures are not cached: a hazardous program raises every time.
-_CHECKED = OrderedDict()
-_CHECKED_CAP = 512
 
 
 def rc_group_srf_usage(bundle: Bundle):
@@ -107,24 +100,3 @@ def check_program(bundles, base_pc: int = 0) -> None:
     """Check every bundle of a program."""
     for offset, bundle in enumerate(bundles):
         check_bundle(bundle, base_pc + offset)
-
-
-def check_program_cached(bundles) -> bool:
-    """Hazard-check a program, memoized on the bundle sequence.
-
-    Which unit touches which single-ported resource is fixed by the
-    configuration words, so the verdict is structural: kernels regenerated
-    per launch with identical code (the FFT engines do this constantly)
-    skip the re-check entirely. Returns True on a cache hit, False when
-    the check actually ran; raises :class:`StructuralHazardError` exactly
-    like :func:`check_program`.
-    """
-    key = tuple(bundles)
-    if key in _CHECKED:
-        _CHECKED.move_to_end(key)
-        return True
-    check_program(key)
-    _CHECKED[key] = True
-    if len(_CHECKED) > _CHECKED_CAP:
-        _CHECKED.popitem(last=False)
-    return False

@@ -32,10 +32,10 @@ performs that decode exactly once per program:
   the shared tally at kernel end, multiplying (never iterating) the
   per-trip deltas of fused loops.
 
-Compilation is memoized two ways: per :class:`ColumnProgram` object, and
-structurally by ``(params, bundles)`` — kernels regenerated per launch
-with identical code but different ``srf_init`` (the FFT engines do this
-constantly) hit the structural memo and compile exactly once.
+Compilations are cached per ``params`` on the program's entry in the
+structure table (:attr:`repro.isa.program.ColumnProgram.structure`) —
+kernels regenerated per launch with identical code but different
+``srf_init`` (the FFT engines do this constantly) compile exactly once.
 
 The generated code binds the column's storage (SRF/VWR/SPM backing lists)
 via default arguments at bind time (:class:`repro.engine.executor
@@ -44,7 +44,7 @@ via default arguments at bind time (:class:`repro.engine.executor
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.errors import ProgramError
@@ -85,10 +85,6 @@ _VWR_DST_NAMES = {
 }
 
 _LSU_VWR_NAMES = {0: "VA", 1: "VB", 2: "VC"}
-
-#: Structural memo: (params, bundles) -> CompiledProgram.
-_MEMO = OrderedDict()
-_MEMO_CAP = 256
 
 
 def _w(expr: str) -> str:
@@ -481,24 +477,11 @@ def superblock_chains(bundles) -> list:
 
 
 def compile_program(program, params) -> CompiledProgram:
-    """Compile ``program`` (memoized per object and per structure)."""
-    cached = getattr(program, "_compiled", None)
-    if cached is not None and cached[0] is params:
-        return cached[1]
-    # Prefer the configuration-word fingerprint stamped at store time
-    # (ints hash orders of magnitude faster than instruction trees); fall
-    # back to the bundle tuple for programs loaded outside the config
-    # memory (direct Column.load in tests).
-    fingerprint = getattr(program, "_fingerprint", None)
-    key = (params, fingerprint if fingerprint is not None
-           else tuple(program.bundles))
-    compiled = _MEMO.get(key)
+    """Compile ``program`` (cached on its structure entry per ``params``)."""
+    entry = program.structure
+    compiled = entry.compiled.get(params)
     if compiled is None:
-        compiled = _compile(tuple(program.bundles), params)
-        _MEMO[key] = compiled
-        if len(_MEMO) > _MEMO_CAP:
-            _MEMO.popitem(last=False)
-    program._compiled = (params, compiled)
+        compiled = entry.compiled[params] = _compile(entry.bundles, params)
     return compiled
 
 

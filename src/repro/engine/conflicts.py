@@ -36,15 +36,15 @@ footprints conflict with everything another column touches). Out-of-range
 addresses end the abstract path, exactly as the ``AddressError`` would end
 the run.
 
-Results are memoized structurally — keyed on the configuration-word
-fingerprint stamped by the configuration memory plus the ``srf_init``
-values — so the per-launch cost of the analysis on regenerated kernels
-(the FFT engines rebuild configs every launch) is a dictionary hit.
+Footprints are cached per ``(params, srf_init)`` on the program's entry
+in the structure table (:attr:`repro.isa.program.ColumnProgram.structure`),
+so analyzing a regenerated kernel (the FFT engines rebuild configs every
+launch) only intersects cached footprints; ``Vwr2a`` additionally stamps
+each stored config with its verdict.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -61,22 +61,6 @@ UNKNOWN = object()
 
 #: Abstract-execution budget per column (bundle steps + accelerated loops).
 MAX_STEPS = 40_000
-
-#: Memo caps (structural keys, FIFO eviction — mirrors the compile memo).
-_FOOTPRINT_CAP = 512
-_REPORT_CAP = 512
-
-_FOOTPRINT_MEMO = OrderedDict()
-_REPORT_MEMO = OrderedDict()
-
-#: Analysis cache behaviour, observable by tests and benchmarks.
-ANALYSIS_STATS = {
-    "footprint_hits": 0,
-    "footprint_misses": 0,
-    "report_hits": 0,
-    "report_misses": 0,
-}
-
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +171,7 @@ class _FootprintAnalyzer:
     """Derives one column program's may-touch SPM footprint."""
 
     def __init__(self, program, params) -> None:
-        self.bundles = tuple(program.bundles)
+        self.bundles = program.structure.bundles
         self.params = params
         self.n_srf = params.srf_entries
         self.n_lcu = params.lcu_registers
@@ -454,30 +438,16 @@ class _FootprintAnalyzer:
 
 
 # ---------------------------------------------------------------------------
-# Public API (memoized)
+# Public API
 # ---------------------------------------------------------------------------
 
-def _column_key(program, params):
-    fingerprint = getattr(program, "_fingerprint", None)
-    structure = fingerprint if fingerprint is not None \
-        else tuple(program.bundles)
-    return (params, structure, tuple(sorted(program.srf_init.items())))
-
-
 def column_footprint(program, params) -> ColumnFootprint:
-    """May-touch SPM footprint of one column program (memoized)."""
-    key = _column_key(program, params)
-    footprint = _FOOTPRINT_MEMO.get(key)
-    if footprint is not None:
-        ANALYSIS_STATS["footprint_hits"] += 1
-        _FOOTPRINT_MEMO.move_to_end(key)
-        return footprint
-    ANALYSIS_STATS["footprint_misses"] += 1
-    footprint = _FootprintAnalyzer(program, params).run()
-    _FOOTPRINT_MEMO[key] = footprint
-    if len(_FOOTPRINT_MEMO) > _FOOTPRINT_CAP:
-        _FOOTPRINT_MEMO.popitem(last=False)
-    return footprint
+    """May-touch SPM footprint of one column program (cached)."""
+    footprints = program.structure.footprints
+    key = (params, tuple(sorted(program.srf_init.items())))
+    if key not in footprints:
+        footprints[key] = _FootprintAnalyzer(program, params).run()
+    return footprints[key]
 
 
 def _pair_conflicts(col_a, fp_a, col_b, fp_b):
@@ -526,44 +496,19 @@ def _pair_conflicts(col_a, fp_a, col_b, fp_b):
 
 
 def analyze_columns(columns: dict, params) -> ConflictReport:
-    """Cross-column SPM conflict report for one kernel (memoized).
+    """Cross-column SPM conflict report for one kernel.
 
     ``columns`` maps column index to :class:`ColumnProgram`. Kernels using
-    a single column are trivially conflict-free and return instantly.
+    a single column are trivially conflict-free and return instantly;
+    otherwise the columns' cached footprints are intersected pairwise.
     """
     if len(columns) <= 1:
         return EMPTY_REPORT
-    key = tuple(
-        (col, _column_key(columns[col], params))
-        for col in sorted(columns)
-    )
-    report = _REPORT_MEMO.get(key)
-    if report is not None:
-        ANALYSIS_STATS["report_hits"] += 1
-        _REPORT_MEMO.move_to_end(key)
-        return report
-    ANALYSIS_STATS["report_misses"] += 1
-    footprints = OrderedDict(
+    footprints = tuple(
         (col, column_footprint(columns[col], params))
         for col in sorted(columns)
     )
     conflicts = []
-    for (col_a, fp_a), (col_b, fp_b) in combinations(
-        footprints.items(), 2
-    ):
+    for (col_a, fp_a), (col_b, fp_b) in combinations(footprints, 2):
         conflicts.extend(_pair_conflicts(col_a, fp_a, col_b, fp_b))
-    report = ConflictReport(
-        conflicts=tuple(conflicts),
-        footprints=tuple(footprints.items()),
-    )
-    _REPORT_MEMO[key] = report
-    if len(_REPORT_MEMO) > _REPORT_CAP:
-        _REPORT_MEMO.popitem(last=False)
-    return report
-
-
-def analyze_active(active, params) -> ConflictReport:
-    """Report for a list of loaded :class:`~repro.core.column.Column`."""
-    return analyze_columns(
-        {col.index: col.program for col in active}, params
-    )
+    return ConflictReport(conflicts=tuple(conflicts), footprints=footprints)

@@ -42,7 +42,6 @@ from repro.core.alu import _simd16
 from repro.core.errors import AddressError, ProgramError, SpmConflictError
 from repro.core.shuffle import shuffle
 from repro.engine.compiler import compile_program
-from repro.engine.conflicts import EMPTY_REPORT, analyze_active
 from repro.isa.fields import ShuffleMode, Vwr
 from repro.isa.rc import RCOp
 
@@ -391,13 +390,9 @@ class CompiledEngine:
             per_column.popitem(last=False)
         return bound
 
-    def run_kernel(self, vwr2a, name, active, max_cycles,
-                   report=None) -> int:
-        # ``report`` lets AutoEngine hand down its already-verified
-        # analysis instead of re-hashing the memo key per launch.
-        if report is None:
-            report = analyze_active(active, vwr2a.params) \
-                if len(active) > 1 else EMPTY_REPORT
+    def run_kernel(self, vwr2a, name, active, max_cycles, report) -> int:
+        # ``report`` is the launch's SPM-conflict verdict, handed down by
+        # ``Vwr2a.run`` from its per-config stamp.
         if report.conflicts:
             raise SpmConflictError(name, report.conflicts)
         self.last_run_info = RunInfo("compiled", None, ())
@@ -474,16 +469,16 @@ class CompiledEngine:
 class AutoEngine:
     """Conflict-aware engine selection (the default).
 
-    Runs the compile-time cross-column SPM analysis per launch (memoized
-    structurally, so regenerated kernels pay a dictionary hit): kernels
-    proven conflict-free execute on the compiled fast path; kernels whose
-    columns communicate through the SPM mid-kernel fall back to the
-    reference interpreter, bit-identically to ``engine="reference"``. The
+    Acts on the compile-time cross-column SPM analysis of each launch:
+    kernels proven conflict-free execute on the compiled fast path;
+    kernels whose columns communicate through the SPM mid-kernel fall
+    back to the reference interpreter, bit-identically to
+    ``engine="reference"``. The
     decision is surfaced on ``RunResult.engine`` /
     ``RunResult.fallback_reason`` / ``RunResult.spm_conflicts``.
-    ``Vwr2a.run`` hands the verdict down from its per-config cache
+    ``Vwr2a.run`` hands the verdict down from its per-config stamp
     (``config_mem.stats.analysis_hits``), so warm launches skip the
-    analysis memo lookup entirely.
+    analysis entirely.
     """
 
     name = "auto"
@@ -504,11 +499,7 @@ class AutoEngine:
         """
         return self.compiled.decisions + self.reference.decisions
 
-    def run_kernel(self, vwr2a, name, active, max_cycles,
-                   report=None) -> int:
-        if report is None:
-            report = analyze_active(active, vwr2a.params) \
-                if len(active) > 1 else EMPTY_REPORT
+    def run_kernel(self, vwr2a, name, active, max_cycles, report) -> int:
         if report.conflicts:
             self.last_run_info = RunInfo(
                 "reference", report.reason(), report.conflicts

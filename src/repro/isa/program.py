@@ -8,12 +8,40 @@ loop parameters, installed when the kernel configuration is loaded).
 A :class:`KernelConfig` groups the per-column programs of one kernel as
 stored in the configuration memory: "The configuration words are stored in
 the configuration memory and loaded to the RCs' local program memory when a
-kernel execution starts." (Sec. 3.1.)
+kernel execution starts." (Sec. 3.1.) So a program's bundle sequence is
+its whole structural identity, and :attr:`ColumnProgram.structure` interns
+it into the one process-wide structure table.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
+
+#: Capacity of the structure table (bundle sequences, FIFO-evicted).
+STRUCTURE_CAP = 512
+
+#: The one structural cache: bundle tuple -> :class:`Structure`.
+_STRUCTURES = OrderedDict()
+
+
+class Structure:
+    """What the simulator derives from one bundle sequence, at most once.
+
+    ``words`` are the configuration words, set by ``ConfigurationMemory
+    .store`` only once the hazard check passes; ``compiled`` maps
+    ``params`` to a ``CompiledProgram``; ``footprints`` maps ``(params,
+    sorted srf_init items)`` to a ``ColumnFootprint``.
+    """
+
+    __slots__ = ("bundles", "words", "compiled", "footprints")
+
+    def __init__(self, bundles: tuple) -> None:
+        self.bundles = bundles
+        self.words = None
+        self.compiled = {}
+        self.footprints = {}
 
 
 @dataclass
@@ -61,12 +89,27 @@ class ColumnProgram:
             lines.append(f"{pc:3d}: {bundle}")
         return "\n".join(lines)
 
+    @cached_property
+    def structure(self) -> Structure:
+        """This program's structure-table entry, interned once per object.
+
+        Identical bundles share one entry, whatever their ``srf_init``; an
+        object keeps its entry after the table evicts it.
+        """
+        key = tuple(self.bundles)
+        entry = _STRUCTURES.get(key)
+        if entry is None:
+            entry = _STRUCTURES[key] = Structure(key)
+            if len(_STRUCTURES) > STRUCTURE_CAP:
+                _STRUCTURES.popitem(last=False)
+        return entry
+
     def compiled(self, params):
         """Compile hook: the predecoded basic-block form of this program.
 
-        Memoized per object and structurally (identical bundle sequences
-        share one compilation, whatever their ``srf_init``); used by the
-        ``compiled`` execution engine at ``load_kernel`` time.
+        Cached on :attr:`structure` per ``params`` (identical bundle
+        sequences share one compilation, whatever their ``srf_init``);
+        used by the ``compiled`` execution engine at launch.
         """
         from repro.engine.compiler import compile_program
 
@@ -76,9 +119,9 @@ class ColumnProgram:
         """Footprint hook: may-touch SPM address sets of this program.
 
         Derived from the configuration words and ``srf_init`` by the
-        static analysis in :mod:`repro.engine.conflicts` (memoized on the
-        configuration-word fingerprint plus the SRF initializers). Returns
-        a :class:`~repro.engine.conflicts.ColumnFootprint`.
+        static analysis in :mod:`repro.engine.conflicts`, cached on
+        :attr:`structure` per ``(params, srf_init)``. Returns a
+        :class:`~repro.engine.conflicts.ColumnFootprint`.
         """
         from repro.engine.conflicts import column_footprint
 

@@ -201,12 +201,10 @@ class KernelRunner:
     # -- kernel launch -----------------------------------------------------------
 
     def store(self, config) -> None:
-        """Store a kernel configuration (structurally cached).
+        """Store a kernel configuration.
 
-        Encoding and hazard checks are memoized on the bundle sequence in
-        the configuration memory, and a byte-identical re-store (the
-        historical double-store flow of ``store`` + ``Vwr2a.execute``) is
-        deduplicated outright — see ``soc.vwr2a.config_mem.stats``.
+        Identical re-stores dedupe and new code is checked and encoded
+        once per process — see ``soc.vwr2a.config_mem.stats``.
         """
         self.soc.vwr2a.store_kernel(config)
 
@@ -232,11 +230,12 @@ class KernelRunner:
     def warm(self, pipeline, samples) -> None:
         """Run one throwaway window to pre-warm the per-platform caches.
 
-        Populates the configuration-store cache (encode + hazard memos),
-        the compile memo and the SPM-conflict verdicts this runner's
-        platform will hit in steady state, then rewinds the staging
-        allocator. Per-window results are history-independent (the
-        serving layer's core determinism property), so warming changes
+        Serving the window fills the structure table (configuration words,
+        compiled programs, SPM footprints) and the SPM-conflict verdicts
+        this runner's platform will hit in steady state; the staging
+        allocator is rewound after. Per-window results are
+        history-independent (the serving layer's core determinism
+        property), so warming changes
         nothing about subsequently served windows; pool workers use this
         hook to take the cold-cache cost before their first real window.
         The launch log is suspended so the warm-up leaves no trace in

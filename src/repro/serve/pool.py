@@ -118,7 +118,7 @@ def _discard(q) -> None:
 
 
 def _default_start_method() -> str:
-    """``"fork"`` on Linux (workers inherit warm structural memos),
+    """``"fork"`` on Linux (workers inherit the warm structure table),
     ``"spawn"`` everywhere else — the one policy for pools and sweeps.
 
     Fork is deliberately not preferred on macOS even though it is
@@ -207,7 +207,7 @@ class PoolScheduler:
     bounds the feeder queue (windows buffered per worker);
     ``start_method`` picks the :mod:`multiprocessing` context (default
     ``"fork"`` where available — workers then inherit the parent's warm
-    structural compile/conflict memos — else ``"spawn"``).
+    structure table — else ``"spawn"``).
 
     The resilience knobs (all off by default; docs/robustness.md):
     ``fault_plan``, ``max_retries`` and ``reference_fallback`` as on

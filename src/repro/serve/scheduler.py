@@ -5,8 +5,8 @@ and feeds it a :class:`~repro.serve.WindowStream`, amortizing every
 per-launch cost the single-shot flow pays repeatedly:
 
 * **store once** — kernels regenerated per window dedupe in the
-  configuration memory (PR-2 structural store cache) and reuse their
-  compiled programs and SPM-conflict verdicts; the per-stream cache delta
+  configuration memory and reuse their SPM-conflict verdicts and the
+  compiled programs of the structure table; the per-stream cache delta
   is reported on :attr:`StreamReport.store_stats`;
 * **SRAM recycling** — the staging bump allocator is rewound between
   windows (:meth:`KernelRunner.reset_sram`) instead of growing without

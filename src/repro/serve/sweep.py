@@ -97,7 +97,7 @@ class ParameterSweep:
     ``cases`` is an iterable of :class:`SweepCase` (plain configuration
     strings are promoted to default-parameter cases). Cases on the default
     design point share the sweep's runner and therefore its
-    configuration-memory and compiled-program caches — the amortization
+    configuration memory and conflict verdicts — the amortization
     that makes wide sweeps cheap; cases carrying an ``arch`` spec share a
     per-spec runner instead. ``window``/``hop``/``tail`` shape the stream
     exactly as in :class:`~repro.serve.WindowStream`.

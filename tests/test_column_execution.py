@@ -6,6 +6,7 @@ from repro.core import StructuralHazardError, Vwr2a
 from repro.core.hazards import check_bundle
 from repro.asm.builder import ProgramBuilder
 from repro.isa import KernelConfig, Vwr, make_bundle
+from repro.isa.program import _STRUCTURES
 from repro.isa.fields import (
     DST_R0,
     DST_VWR_A,
@@ -238,5 +239,14 @@ class TestHazards:
         b = ProgramBuilder()
         b.emit(lcu=ldsrf(0, 0), lsu=set_srf(1, 2))
         b.exit()
-        with pytest.raises(StructuralHazardError):
-            sim.store_kernel(KernelConfig(name="bad", columns={0: b.build()}))
+        # Hazard failures are never cached: storing twice raises twice,
+        # and the structure table never gives the code its words.
+        programs = [b.build(), b.build()]
+        for program in programs:
+            with pytest.raises(StructuralHazardError):
+                sim.store_kernel(KernelConfig(name="bad", columns={0: program}))
+        entry = programs[0].structure
+        assert entry is programs[1].structure
+        assert _STRUCTURES[entry.bundles] is entry
+        assert entry.words is None
+        assert "bad" not in sim.config_mem

@@ -182,8 +182,10 @@ class TestExploreCli:
 class TestCrossSpecCacheIsolation:
     """Two geometries interleaved in one process stay bit-exact.
 
-    The engine's structural memos, conflict verdicts and superblock plans
-    all key on the geometry; a cross-spec cache collision would surface
+    The structure table's compiled programs and SPM footprints, the
+    conflict verdicts and the superblock plans all key on the geometry;
+    one bundle sequence shared by two specs has one table entry with a
+    slot per geometry, so a cross-spec cache collision would surface
     here as corrupted outputs or drifting cycle counts.
     """
 

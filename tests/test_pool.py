@@ -118,12 +118,17 @@ class TestPoolBitIdentity:
         assert "windows" in pooled.summary()
 
     def test_store_stats_total_worker_cold_stores(self, single, pooled):
-        # Each worker pays its own cold encodes; the merged counters
-        # honestly total the work done, they are not required to match
-        # the single-runner amortization.
+        # Each worker's configuration memory pays its own cold stores; the
+        # merged counters honestly total the work done, they are not
+        # required to match the single-runner amortization. (Whether a
+        # cold store encodes depends on the process-wide structure table
+        # a forked worker inherits, so only the sightings are compared.)
+        def sightings(report):
+            stats = report.store_stats
+            return stats["encode_hits"] + stats["encode_misses"]
+
         assert pooled.store_stats["stores"] == single.store_stats["stores"]
-        assert pooled.store_stats["encode_misses"] \
-            >= single.store_stats["encode_misses"]
+        assert sightings(pooled) >= sightings(single)
 
     def test_single_worker_pool_degenerates_cleanly(self, stream, single):
         one = PoolScheduler(
@@ -542,7 +547,10 @@ class TestWorkerPlumbing:
         assert log == []  # launches invisible to per-window reports
         assert runner._sram_next == 0  # staging rewound
         stats = runner.soc.vwr2a.config_mem.stats
-        assert stats.encode_misses > 0  # caches are populated
+        # The warm-up stored kernels. Encodes are process-wide, so
+        # another test may already have seen them: count sightings.
+        assert stats.stores > 0
+        assert stats.encode_hits + stats.encode_misses > 0
         # A warmed worker serves the window with zero new encodes.
         before = stats.snapshot()
         StreamScheduler(pipeline=pipeline, runner=runner).run(

@@ -9,7 +9,7 @@ to the reference interpreter bit-identically, and forcing
 the columns and address ranges. Aborted runs (address faults, budget
 overruns) replay cycle-by-cycle so events and column state match the
 interpreter exactly. ``store_kernel`` caches encoding and hazard checks
-structurally, so re-storing identical kernels is free.
+on the structure table, so re-storing identical kernels is free.
 """
 
 from __future__ import annotations
@@ -323,53 +323,72 @@ class TestAutoSelection:
         assert access is not None and access[0] == "line"
 
 
+def _slot_sizes(config) -> list:
+    """Per column: how many footprints and compilations its entry holds."""
+    return [
+        (len(p.structure.footprints), len(p.structure.compiled))
+        for _, p in sorted(config.columns.items())
+    ]
+
+
 class TestAnalysisCaching:
     def test_regenerated_kernels_reuse_the_cached_verdict(self):
         sim = Vwr2a()
         config = elementwise_kernel(sim.params, RCOp.SSUB, 512, 0, 4, 8)
+        assert config.n_columns > 1
         sim.execute(config)
-        before = dict(conflicts.ANALYSIS_STATS)
+        sizes = _slot_sizes(config)
         hits_before = sim.config_mem.stats.analysis_hits
         # A structurally identical, freshly generated config dedupes in
-        # the store cache onto the stored config object, whose stamped
-        # verdict makes the launch a plain attribute read: zero new
-        # footprint computations, zero report-memo lookups.
-        sim.execute(elementwise_kernel(sim.params, RCOp.SSUB, 512, 0, 4, 8))
-        after = conflicts.ANALYSIS_STATS
-        assert after["footprint_misses"] == before["footprint_misses"]
-        assert after["report_misses"] == before["report_misses"]
+        # the configuration memory onto the stored config object, whose
+        # stamped verdict makes the launch a plain attribute read: zero
+        # new footprint computations, zero new compilations.
+        regenerated = elementwise_kernel(
+            sim.params, RCOp.SSUB, 512, 0, 4, 8
+        )
+        sim.execute(regenerated)
+        for col, program in regenerated.columns.items():
+            assert program.structure is config.columns[col].structure
+        assert _slot_sizes(config) == sizes
         assert sim.config_mem.stats.analysis_hits > hits_before
         assert sim.config_mem.stats.analysis_misses == 1
 
-    def test_report_memo_backs_fresh_config_objects(self):
-        # The conflicts-module memo still serves analyses that bypass the
-        # runner-level verdict cache (fresh KernelConfig objects analyzed
-        # directly, e.g. by a different platform instance).
+    def test_fresh_config_objects_reuse_cached_footprints(self):
+        # Analyses that bypass the per-config verdict stamp (fresh
+        # KernelConfig objects analyzed directly, e.g. by a different
+        # platform instance) intersect the footprints cached on the
+        # structure table instead of re-running the abstract execution.
         sim = Vwr2a()
         config = elementwise_kernel(sim.params, RCOp.SSUB, 512, 0, 4, 8)
-        sim.store_kernel(config)  # stamps the structural fingerprints
-        conflicts.analyze_columns(config.columns, sim.params)
-        before = dict(conflicts.ANALYSIS_STATS)
-        regenerated = elementwise_kernel(sim.params, RCOp.SSUB, 512, 0, 4, 8)
+        sim.store_kernel(config)
+        first = conflicts.analyze_columns(config.columns, sim.params)
+        sizes = _slot_sizes(config)
+        regenerated = elementwise_kernel(
+            sim.params, RCOp.SSUB, 512, 0, 4, 8
+        )
         sim.store_kernel(regenerated)
-        conflicts.analyze_columns(regenerated.columns, sim.params)
-        after = conflicts.ANALYSIS_STATS
-        assert after["footprint_misses"] == before["footprint_misses"]
-        assert after["report_misses"] == before["report_misses"]
-        assert after["report_hits"] > before["report_hits"]
+        second = conflicts.analyze_columns(regenerated.columns, sim.params)
+        assert second == first
+        for (col, old), (_, new) in zip(first.footprints, second.footprints):
+            assert new is old
+            assert regenerated.columns[col].structure \
+                is config.columns[col].structure
+        assert _slot_sizes(config) == sizes
 
     def test_repeated_load_kernel_does_not_reanalyze(self):
         sim = Vwr2a()
         config = elementwise_kernel(sim.params, RCOp.SADD, 256, 0, 2, 4)
         sim.store_kernel(config)
         sim.load_kernel(config.name)
-        before = dict(conflicts.ANALYSIS_STATS)
+        stats = sim.config_mem.stats
+        before = stats.snapshot()
+        sizes = _slot_sizes(config)
         for _ in range(3):
             sim.load_kernel(config.name)
-        assert conflicts.ANALYSIS_STATS["footprint_misses"] \
-            == before["footprint_misses"]
-        assert conflicts.ANALYSIS_STATS["report_misses"] \
-            == before["report_misses"]
+        delta = stats.since(before)
+        assert delta["analysis_misses"] == 0
+        assert delta["analysis_hits"] == 3
+        assert _slot_sizes(config) == sizes
 
 
 class TestAbortAccounting:
@@ -463,9 +482,12 @@ class TestStoreCache:
         assert stats.encode_misses == encode_misses
         assert stats.hazard_misses == hazard_misses
         assert stats.dedup_hits >= 1
-        # The fresh programs still get fingerprints for the compile memo.
-        for program in regenerated.columns.values():
-            assert program._fingerprint is not None
+        # The dedup hit did no structural work on the fresh objects; their
+        # code interns to the stored kernel's (encoded) table entries.
+        for col, program in regenerated.columns.items():
+            assert "structure" not in program.__dict__
+            assert program.structure is config.columns[col].structure
+            assert program.structure.words is not None
 
     def test_same_code_different_srf_init_reencodes_nothing(self):
         sim = Vwr2a()
