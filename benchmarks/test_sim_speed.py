@@ -60,7 +60,14 @@ def _signal(n: int, scale: int = 1000) -> list:
 
 
 def _measure(engine: str, repeats: int = REPEATS) -> dict:
-    runner = KernelRunner(soc=BiosignalSoC(engine=engine))
+    """Best-of-``repeats`` FFT-2048 throughput of one execution path.
+
+    ``engine`` names the path every launch must execute on:
+    ``"reference"`` selects the interpreter, ``"compiled"`` the default
+    ``"auto"`` engine, whose conflict-free FFT launches all run compiled.
+    """
+    selection = "reference" if engine == "reference" else "auto"
+    runner = KernelRunner(soc=BiosignalSoC(engine=selection))
     vwr2a = runner.soc.vwr2a
     re = _signal(2048)
     im = _signal(2048, scale=700)
@@ -87,6 +94,7 @@ def _measure(engine: str, repeats: int = REPEATS) -> dict:
             start = time.perf_counter()
             result = original_run(name, max_cycles=max_cycles)
             acc["wall"] += time.perf_counter() - start
+            assert result.engine == engine
             acc["cycles"] += result.cycles
             acc["launches"] += 1
             if result.superblocks:

@@ -8,7 +8,7 @@ DMA transfers, and receive completion interrupts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.arch import DEFAULT_PARAMS, ArchParams, ArchSpec
 from repro.core.column import Column
@@ -33,37 +33,14 @@ class RunResult:
     fallback_reason: str = None   #: why ``auto`` chose the reference path
     spm_conflicts: tuple = ()     #: SpmConflict records behind the fallback
     superblocks: dict = None      #: closed-form loop counters (compiled runs)
-    block_histogram: tuple = ()   #: ((column, leader, count, delta), ...)
+    #: Event-count delta of the execution (configuration load excluded),
+    #: equal whichever engine ran it; ``EnergyModel.fold_histogram`` folds
+    #: it into the launch's datapath energy.
+    events: dict = field(default_factory=dict)
 
     @property
     def total_cycles(self) -> int:
         return self.cycles + self.config_cycles
-
-    def energy_by_block(self, model) -> dict:
-        """Histogram-native per-block energy attribution.
-
-        Maps ``(column, leader)`` to the per-component pJ dict of that
-        basic block's executions, folded straight from the static event
-        deltas (:meth:`repro.energy.EnergyModel.fold_histogram`) — no
-        intermediate event-counter materialization. Empty for launches
-        executed on the reference interpreter (which has no block
-        histogram); leakage and staging energy are window-level concerns
-        and are deliberately not attributed here.
-        """
-        grouped = {}
-        for column, leader, count, delta in self.block_histogram:
-            grouped.setdefault((column, leader), []).append((delta, count))
-        return {
-            key: model.fold_histogram(rows).by_component
-            for key, rows in grouped.items()
-        }
-
-    def energy_pj(self, model) -> dict:
-        """Per-component pJ of this launch's datapath activity (folded)."""
-        return model.fold_histogram(
-            (delta, count)
-            for _, _, count, delta in self.block_histogram
-        ).by_component
 
 
 class Vwr2a:
@@ -73,12 +50,10 @@ class Vwr2a:
     the compile-time cross-column SPM analysis at ``load_kernel`` and
     executes conflict-free kernels on the compiled fast path, falling back
     to the per-cycle reference interpreter when columns communicate
-    through the SPM mid-kernel (docs/engine.md); ``"compiled"`` forces the
-    fast path (raising :class:`~repro.core.errors.SpmConflictError` on
-    conflicting kernels); ``"reference"`` is the original cycle-by-cycle
-    interpreter (``Column.step``), kept as the golden model. All engines
-    produce identical cycle counts and event snapshots; ``RunResult``
-    records which engine ran and why.
+    through the SPM mid-kernel (docs/engine.md); ``"reference"`` is the
+    original cycle-by-cycle interpreter (``Column.step``), kept as the
+    golden model. Both produce identical cycle counts and event snapshots;
+    ``RunResult`` records which engine ran and why.
     """
 
     #: Runaway guard for kernel execution.
@@ -93,7 +68,7 @@ class Vwr2a:
         engine: str = "auto",
         spec: ArchSpec = None,
     ) -> None:
-        from repro.engine import make_engine
+        from repro.engine import CompiledEngine, ReferenceEngine
 
         if spec is not None:
             if params is not DEFAULT_PARAMS and params != spec.arch:
@@ -109,7 +84,15 @@ class Vwr2a:
         #: programs and footprints are keyed on.
         self.spec = spec
         self.params = params
-        self._engine = make_engine(engine)
+        if engine == "auto":
+            self._engine = CompiledEngine()
+        elif engine == "reference":
+            self._engine = ReferenceEngine()
+        else:
+            raise ConfigurationError(
+                f"unknown engine {engine!r} (choose from 'auto', "
+                "'reference')"
+            )
         self.events = events if events is not None else EventCounters()
         self.spm = Scratchpad(
             params.spm_lines, params.line_words, self.events
@@ -144,10 +127,10 @@ class Vwr2a:
         """Copy a stored configuration into the program memories.
 
         Returns the cycle cost (one cycle per configuration word plus one
-        per initial SRF entry, per column). Under the ``auto`` and
-        ``compiled`` engines this is also where the cross-column SPM
-        analysis runs — its verdict is stamped on the stored configuration
-        object (``config_mem.stats.analysis_hits``), so warm launches of
+        per initial SRF entry, per column). Under the ``auto`` engine this
+        is also where the cross-column SPM analysis runs — its verdict is
+        stamped on the stored configuration object
+        (``config_mem.stats.analysis_hits``), so warm launches of
         regenerated kernels, which dedup onto that object, skip
         re-analysis entirely.
         """
@@ -219,21 +202,23 @@ class Vwr2a:
             if self._engine.name != "reference" else None
         config_cycles = self._install(config)
         active = [self.columns[col] for col in config.columns]
-        cycles = self._engine.run_kernel(
+        events_before = self.events.snapshot()
+        info = self._engine.run_kernel(
             self, name, active, max_cycles, report=report
         )
-        self.synchronizer.kernel_finished(name, cycles, config.columns.keys())
-        info = getattr(self._engine, "last_run_info", None)
+        self.synchronizer.kernel_finished(
+            name, info.cycles, config.columns.keys()
+        )
         return RunResult(
             name=name,
-            cycles=cycles,
+            cycles=info.cycles,
             config_cycles=config_cycles,
             column_steps={col.index: col.steps for col in active},
-            engine=info.engine if info else self._engine.name,
-            fallback_reason=info.fallback_reason if info else None,
-            spm_conflicts=tuple(info.conflicts) if info else (),
-            superblocks=info.superblocks if info else None,
-            block_histogram=info.histogram if info else (),
+            engine=info.engine,
+            fallback_reason=info.fallback_reason,
+            spm_conflicts=tuple(info.conflicts),
+            superblocks=info.superblocks,
+            events=self.events.diff(events_before),
         )
 
     def execute(self, config: KernelConfig, max_cycles: int = None) -> RunResult:

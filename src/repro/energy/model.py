@@ -118,58 +118,32 @@ class EnergyReport:
 class EnergyModel:
     """Folds event tallies into energies with a given table."""
 
-    #: Per-delta memo capacity (distinct static block deltas are few).
-    _DELTA_MEMO_CAP = 4096
-
     def __init__(self, table: EnergyTable, clock_hz: float = 80e6) -> None:
         self.table = table
         self.clock_hz = clock_hz
-        self._delta_memo = {}
-
-    def _delta_components(self, delta: tuple) -> dict:
-        """Per-component pJ of ONE execution of a static event delta.
-
-        Memoized on the delta tuple: block deltas are compile-time
-        constants shared across launches, so the histogram fold multiplies
-        cached component vectors instead of walking events.
-        """
-        folded = self._delta_memo.get(delta)
-        if folded is None:
-            folded = {}
-            for name, count in delta:
-                component = COMPONENT_OF_EVENT.get(name)
-                if component is None or name == Ev.CPU_CYCLE:
-                    continue
-                folded[component] = folded.get(component, 0.0) \
-                    + count * self.table.event_energy(name)
-            if len(self._delta_memo) >= self._DELTA_MEMO_CAP:
-                self._delta_memo.clear()
-            self._delta_memo[delta] = folded
-        return folded
 
     def fold_histogram(
         self,
-        histogram,
+        events,
         cycles: int = 0,
         powered_components=(),
     ) -> EnergyReport:
-        """Energy of a per-block execution histogram (the fast path).
+        """The activity fold: energy of the event counts ``events``.
 
-        ``histogram`` iterates ``(delta, count)`` pairs — a block's static
-        event delta (``((event, count), ...)``, as
-        :attr:`repro.core.RunResult.block_histogram` carries them) and how
-        many times the block executed. Each distinct delta is folded to a
-        per-component pJ vector once and cached, so no intermediate
-        event-counter dict is ever materialized; leakage is charged for
-        ``powered_components`` over ``cycles`` exactly like
-        :meth:`report`. Equal to :meth:`report` over the materialized
-        event sum, up to float summation order.
+        ``events`` maps event names to counts (an ``EventCounters.diff``,
+        a launch's ``RunResult.events``). Events are summed in sorted name
+        order, so two equal tallies fold to the same bits whatever their
+        key order (which differs between engines); leakage is then charged
+        for ``powered_components`` over ``cycles``. :meth:`report` and the
+        per-kernel attribution of the serving layer both fold through it.
         """
         by_component = {}
-        for delta, count in histogram:
-            for component, pj in self._delta_components(delta).items():
-                by_component[component] = by_component.get(component, 0.0) \
-                    + pj * count
+        for name in sorted(events):
+            component = COMPONENT_OF_EVENT.get(name)
+            if component is None or name == Ev.CPU_CYCLE:
+                continue
+            by_component[component] = by_component.get(component, 0.0) \
+                + events[name] * self.table.event_energy(name)
         for component in powered_components:
             leak = self.table.leakage_pj_per_cycle.get(component, 0.0)
             by_component[component] = by_component.get(component, 0.0) \
@@ -190,28 +164,18 @@ class EnergyModel:
 
         ``events`` is an event-count dict (e.g. ``EventCounters.diff``);
         ``powered_components`` lists the components whose leakage is
-        charged for the whole window.
+        charged for the whole window; CPU active/sleep cycles are charged
+        on top of :meth:`fold_histogram`.
         """
-        by_component = {}
-
-        def add(component: str, pj: float) -> None:
-            by_component[component] = by_component.get(component, 0.0) + pj
-
-        for name, count in events.items():
-            component = COMPONENT_OF_EVENT.get(name)
-            if component is None or name == Ev.CPU_CYCLE:
-                continue
-            add(component, count * self.table.event_energy(name))
-        for component in powered_components:
-            leak = self.table.leakage_pj_per_cycle.get(component, 0.0)
-            add(component, leak * cycles)
+        report = self.fold_histogram(events, cycles, powered_components)
+        by_component = report.by_component
         if cpu_active_cycles:
-            add("cpu", cpu_active_cycles * self.table.cpu_pj_per_cycle)
+            by_component["cpu"] = by_component.get("cpu", 0.0) \
+                + cpu_active_cycles * self.table.cpu_pj_per_cycle
         if cpu_sleep_cycles:
-            add("cpu", cpu_sleep_cycles * self.table.cpu_sleep_pj_per_cycle)
-        return EnergyReport(
-            by_component=by_component, cycles=cycles, clock_hz=self.clock_hz
-        )
+            by_component["cpu"] = by_component.get("cpu", 0.0) \
+                + cpu_sleep_cycles * self.table.cpu_sleep_pj_per_cycle
+        return report
 
     def vwr2a_report(self, events: dict, cycles: int) -> EnergyReport:
         """VWR2A-only view (the paper's Table 3 scope)."""

@@ -1,14 +1,13 @@
 """Precompiled micro-op execution engine for the VWR2A simulator.
 
 ``compile once at load_kernel, execute many`` — see docs/engine.md for the
-design. Select per instance via ``Vwr2a(engine="auto"|"compiled"|
-"reference")``. ``auto`` (the default) runs the compile-time cross-column
-SPM analysis (:mod:`repro.engine.conflicts`) and routes each launch to the
-compiled fast path when proven conflict-free, or to the reference
-interpreter when columns communicate through the SPM mid-kernel.
+design. Select per instance via ``Vwr2a(engine="auto"|"reference")``.
+``auto`` (the default) runs the compile-time cross-column SPM analysis
+(:mod:`repro.engine.conflicts`) and routes each launch to the compiled
+fast path when proven conflict-free, or to the reference interpreter when
+columns communicate through the SPM mid-kernel.
 """
 
-from repro.core.errors import ConfigurationError
 from repro.engine.compiler import CompiledProgram, compile_program
 from repro.engine.conflicts import (
     ColumnFootprint,
@@ -19,33 +18,12 @@ from repro.engine.conflicts import (
 )
 from repro.engine.deltas import bundle_event_delta
 from repro.engine.executor import (
-    AutoEngine,
     BoundColumn,
     CompiledEngine,
     ReferenceEngine,
 )
 
-#: Engine registry: name -> factory.
-ENGINES = {
-    AutoEngine.name: AutoEngine,
-    CompiledEngine.name: CompiledEngine,
-    ReferenceEngine.name: ReferenceEngine,
-}
-
-
-def make_engine(name: str):
-    """Instantiate an execution engine by name."""
-    try:
-        factory = ENGINES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown engine {name!r} (choose from {sorted(ENGINES)})"
-        ) from None
-    return factory()
-
-
 __all__ = [
-    "AutoEngine",
     "BoundColumn",
     "ColumnFootprint",
     "CompiledEngine",
@@ -53,10 +31,8 @@ __all__ = [
     "ConflictReport",
     "ReferenceEngine",
     "SpmConflict",
-    "ENGINES",
     "analyze_columns",
     "bundle_event_delta",
     "column_footprint",
     "compile_program",
-    "make_engine",
 ]

@@ -1,17 +1,21 @@
-"""Execution engines: the compiled block dispatcher and the reference loop.
+"""Execution engines: the compiled dispatcher and the reference loop.
 
-Two interchangeable engines drive kernel execution for
-:class:`repro.core.cgra.Vwr2a`:
+Two engines drive kernel execution for :class:`repro.core.cgra.Vwr2a`:
 
-* :class:`ReferenceEngine` — the original cycle-by-cycle interpreter
-  (``Column.step`` per column per cycle). It is the golden model.
-* :class:`CompiledEngine` — binds each column's
-  :class:`~repro.engine.compiler.CompiledProgram` to the column's storage
-  and dispatches whole superblocks (fused straight-line chains and
-  self-loops; closed-form loops complete a full counted run in one
-  dispatch, see :mod:`repro.engine.superblocks`). Event counting happens
-  as per-superblock execution histograms folded into the shared
-  :class:`~repro.core.events.EventCounters` once at kernel end
+* :class:`ReferenceEngine` (``engine="reference"``) — the original
+  cycle-by-cycle interpreter (``Column.step`` per column per cycle). It
+  is the golden model.
+* :class:`CompiledEngine` (``engine="auto"``, the default) — routes each
+  launch on its compile-time cross-column SPM analysis
+  (:mod:`repro.engine.conflicts`). Kernels whose columns communicate
+  through the SPM mid-kernel run on the reference interpreter; all
+  others run compiled: each column's
+  :class:`~repro.engine.compiler.CompiledProgram` is bound to the
+  column's storage and dispatched whole superblocks at a time (fused
+  straight-line chains and self-loops; closed-form loops complete a full
+  counted run in one dispatch, see :mod:`repro.engine.superblocks`).
+  Event counting happens as per-superblock execution counts folded into
+  the shared :class:`~repro.core.events.EventCounters` once at kernel end
   (:meth:`BoundColumn.finish`, memoized on the execution-count vector) —
   bit-identical to per-cycle logging because every bundle's event delta
   is static (see :mod:`repro.engine.deltas`).
@@ -19,13 +23,9 @@ Two interchangeable engines drive kernel execution for
 Multi-column kernels run under a virtual-time scheduler: the column with
 the smallest cycle count advances superblocks until its virtual time
 passes the smallest of the other running columns'. Columns therefore
-synchronize at superblock (not cycle) granularity; the static
-cross-column SPM analysis (:mod:`repro.engine.conflicts`) proves per
-launch that no column writes addresses another column touches, so the
-relaxed ordering is unobservable. Kernels that *do* communicate through
-the SPM mid-kernel raise :class:`~repro.core.errors.SpmConflictError` on
-the forced compiled engine, and are routed to the reference interpreter
-automatically by :class:`AutoEngine` (``engine="auto"``, the default).
+synchronize at superblock (not cycle) granularity; the conflict analysis
+proves per launch that no column writes addresses another column
+touches, so the relaxed ordering is unobservable.
 
 Aborted launches (``AddressError`` / ``ProgramError``) are rewound to the
 pre-launch snapshot and replayed cycle-by-cycle on the reference
@@ -39,20 +39,21 @@ from collections import Counter, OrderedDict, namedtuple
 from functools import partial
 
 from repro.core.alu import _simd16
-from repro.core.errors import AddressError, ProgramError, SpmConflictError
+from repro.core.errors import AddressError, ProgramError
 from repro.core.shuffle import shuffle
 from repro.engine.compiler import compile_program
 from repro.isa.fields import ShuffleMode, Vwr
 from repro.isa.rc import RCOp
 
-#: Per-launch engine decision plus superblock accounting, surfaced on
-#: ``RunResult`` by ``Vwr2a.run``. ``superblocks`` is the accelerated-loop
-#: counter dict (None on the reference path); ``histogram`` the per-block
-#: execution histogram ``((column, leader, count, delta), ...)``.
+#: One launch as an engine ran it, surfaced on ``RunResult`` by
+#: ``Vwr2a.run``: the cycle count, the engine that executed
+#: (``"compiled"`` or ``"reference"``), why a conflicting launch fell back
+#: and the conflicts behind it, and the accelerated-loop counter dict
+#: (None on the reference path).
 RunInfo = namedtuple(
     "RunInfo",
-    ["engine", "fallback_reason", "conflicts", "superblocks", "histogram"],
-    defaults=(None, ()),
+    ["cycles", "engine", "fallback_reason", "conflicts", "superblocks"],
+    defaults=(None, (), None),
 )
 
 
@@ -74,30 +75,33 @@ def _raise_srf(entry: int, n_entries: int):
     raise AddressError(f"SRF entry {entry} out of range [0, {n_entries})")
 
 
+def interpret(name, active, max_cycles) -> int:
+    """The golden per-cycle interpreter: ``Column.step`` in lock-step."""
+    cycles = 0
+    while any(not col.done for col in active):
+        if cycles >= max_cycles:
+            raise _budget_error(name, max_cycles)
+        for col in active:
+            col.step()
+        cycles += 1
+    return cycles
+
+
 class ReferenceEngine:
-    """The golden per-cycle interpreter (``Column.step`` in lock-step)."""
+    """Every launch on the golden per-cycle interpreter."""
 
     name = "reference"
 
     def __init__(self) -> None:
-        self.last_run_info = RunInfo("reference", None, ())
         #: Lifetime launch tally by executing engine (``Vwr2a.engine_decisions``).
         self.decisions = Counter()
 
     def run_kernel(self, vwr2a, name, active, max_cycles,
-                   report=None) -> int:
-        # ``report`` (the pre-verified conflict analysis) is accepted for
-        # interface uniformity; the per-cycle interpreter never needs it.
-        self.last_run_info = RunInfo("reference", None, ())
+                   report=None) -> RunInfo:
+        # ``report`` (the conflict analysis) is accepted for interface
+        # uniformity; the per-cycle interpreter never needs it.
         self.decisions["reference"] += 1
-        cycles = 0
-        while any(not col.done for col in active):
-            if cycles >= max_cycles:
-                raise _budget_error(name, max_cycles)
-            for col in active:
-                col.step()
-            cycles += 1
-        return cycles
+        return RunInfo(interpret(name, active, max_cycles), "reference")
 
 
 class BoundColumn:
@@ -106,7 +110,7 @@ class BoundColumn:
     Binding executes the generated module once, capturing the column's SRF
     / VWR / SPM backing lists and register files as default arguments of
     the block functions; re-running the same kernel afterwards only resets
-    the execution histogram.
+    the execution counts.
     """
 
     def __init__(self, column, compiled) -> None:
@@ -130,11 +134,10 @@ class BoundColumn:
         self.pc = 0
         self.loops_accelerated = 0
         self.trips_accelerated = 0
-        # Execution histograms of deterministic kernels repeat launch
-        # after launch: the event fold and the per-block histogram rows
-        # are memoized on the count vector (bounded; cleared wholesale).
+        # Execution counts of deterministic kernels repeat launch after
+        # launch: the event fold is memoized on the count vector
+        # (bounded; cleared wholesale).
         self._fold_memo = {}
-        self._hist_memo = {}
 
     @staticmethod
     def _namespace(column) -> dict:
@@ -168,44 +171,6 @@ class BoundColumn:
         self.pc = 0
         self.loops_accelerated = 0
         self.trips_accelerated = 0
-
-    def run_to_exit(self, kernel_name: str, max_cycles: int) -> int:
-        """Single-column fast path: dispatch superblocks until EXIT."""
-        table = self.table
-        counts = self.counts
-        steps = 0
-        pc = 0
-        try:
-            while True:
-                entry = table.get(pc)
-                if entry is None:
-                    raise _past_end_error(self.column.index, pc)
-                fn, n_cycles, index, exit_next, is_loop, closed = entry
-                if is_loop:
-                    limit = (max_cycles - steps) // n_cycles
-                    if limit <= 0:
-                        raise _budget_error(kernel_name, max_cycles)
-                    pc, trips = fn(limit)
-                    counts[index] += trips
-                    steps += trips * n_cycles
-                    if closed:
-                        self.loops_accelerated += 1
-                        self.trips_accelerated += trips
-                else:
-                    if steps + n_cycles > max_cycles:
-                        raise _budget_error(kernel_name, max_cycles)
-                    counts[index] += 1
-                    steps += n_cycles
-                    pc = fn()
-                    if pc < 0:
-                        pc = exit_next
-                        break
-        finally:
-            # Persist progress even when aborting (budget / address
-            # errors), so the error-path event fold sees it.
-            self.steps = steps
-            self.pc = pc
-        return steps
 
     def run_until(self, kernel_name: str, max_cycles: int,
                   horizon: int = None) -> bool:
@@ -264,7 +229,7 @@ class BoundColumn:
             self.pc = pc
 
     def flush(self, events) -> None:
-        """Fold the execution histogram into the shared event tally and
+        """Fold the execution counts into the shared event tally and
         sync the column's architectural bookkeeping (also on aborts).
 
         ``count x delta`` per executed superblock, summed per event; the
@@ -299,35 +264,10 @@ class BoundColumn:
         for blk in self.compiled.blocks:
             count = self.counts[blk.index]
             if count:
-                for leader, n_cycles, _ in blk.members:
+                for leader, n_cycles in blk.members:
                     for pc in range(leader, leader + n_cycles):
                         histogram[pc] += count
         return histogram
-
-    def block_histogram(self) -> tuple:
-        """Executed basic blocks as ``(column, leader, count, delta)`` rows.
-
-        Superblocks expand to their member blocks (each member executes
-        exactly once per superblock execution), so the rows stay at
-        basic-block granularity — the unit the histogram-native energy
-        fold (:meth:`repro.energy.EnergyModel.fold_histogram`) attributes
-        pJ to.
-        """
-        key = tuple(self.counts)
-        rows = self._hist_memo.get(key)
-        if rows is None:
-            column = self.column.index
-            rows = []
-            for blk in self.compiled.blocks:
-                count = key[blk.index]
-                if count:
-                    for leader, _, delta in blk.members:
-                        rows.append((column, leader, count, delta))
-            rows = tuple(rows)
-            if len(self._hist_memo) > 64:
-                self._hist_memo.clear()
-            self._hist_memo[key] = rows
-        return rows
 
     def superblock_stats(self) -> dict:
         """Closed-form loop accounting of the last run."""
@@ -357,24 +297,31 @@ def _restore_launch(vwr2a, snapshot) -> None:
 
 
 class CompiledEngine:
-    """Compile-once / execute-many engine (the fast path).
+    """Conflict-routing compile-once / execute-many engine (the default).
 
-    Multi-column kernels are admitted only when the static SPM analysis
-    proves their footprints disjoint; conflicting kernels raise
-    :class:`SpmConflictError` (use ``engine="auto"`` for automatic
-    fallback). Aborted launches replay on the reference interpreter from
-    the pre-launch snapshot, so fault-path events and state are exact.
+    Acts on the compile-time cross-column SPM analysis of each launch,
+    which ``Vwr2a.run`` hands down from its per-config stamp
+    (``config_mem.stats.analysis_hits``), so warm launches skip the
+    analysis entirely. Launches proven conflict-free execute on the
+    compiled fast path; launches whose columns communicate through the SPM
+    mid-kernel run on the reference interpreter, bit-identically to
+    ``engine="reference"``. The decision is surfaced on
+    ``RunResult.engine`` / ``RunResult.fallback_reason`` /
+    ``RunResult.spm_conflicts``. Aborted compiled launches replay on the
+    reference interpreter from the pre-launch snapshot, so fault-path
+    events and state are exact.
     """
 
-    name = "compiled"
+    name = "auto"
 
     #: Bound programs kept per column (identity-keyed, FIFO-evicted).
     CACHE_CAP = 128
 
     def __init__(self) -> None:
         self._bound = {}
-        self.last_run_info = RunInfo("compiled", None, ())
-        #: Lifetime launch tally by executing engine (``Vwr2a.engine_decisions``).
+        #: Lifetime launch tally by the engine that actually executed,
+        #: ticked on every routed launch, including launches that later
+        #: abort (``Vwr2a.engine_decisions``).
         self.decisions = Counter()
 
     def _bind(self, column) -> BoundColumn:
@@ -390,12 +337,13 @@ class CompiledEngine:
             per_column.popitem(last=False)
         return bound
 
-    def run_kernel(self, vwr2a, name, active, max_cycles, report) -> int:
-        # ``report`` is the launch's SPM-conflict verdict, handed down by
-        # ``Vwr2a.run`` from its per-config stamp.
+    def run_kernel(self, vwr2a, name, active, max_cycles, report) -> RunInfo:
         if report.conflicts:
-            raise SpmConflictError(name, report.conflicts)
-        self.last_run_info = RunInfo("compiled", None, ())
+            self.decisions["reference"] += 1
+            return RunInfo(
+                interpret(name, active, max_cycles), "reference",
+                report.reason(), report.conflicts,
+            )
         self.decisions["compiled"] += 1
         snapshot = _snapshot_launch(vwr2a, active)
         bounds = [self._bind(col) for col in active]
@@ -403,7 +351,8 @@ class CompiledEngine:
             bound.begin()
         try:
             if len(bounds) == 1:
-                cycles = bounds[0].run_to_exit(name, max_cycles)
+                bounds[0].run_until(name, max_cycles)
+                cycles = bounds[0].steps
             else:
                 cycles = self._interleave(bounds, name, max_cycles)
         except (AddressError, ProgramError) as fault:
@@ -414,7 +363,7 @@ class CompiledEngine:
             # including the final partial bundle, exactly like the
             # reference (docs/engine.md).
             _restore_launch(vwr2a, snapshot)
-            ReferenceEngine().run_kernel(vwr2a, name, active, max_cycles)
+            interpret(name, active, max_cycles)
             # A completed replay means the two engines disagree on whether
             # the kernel faults at all — an engine bug, never silently
             # reported as the stale compiled-path exception.
@@ -430,16 +379,11 @@ class CompiledEngine:
                 bound.flush(vwr2a.events)
             raise
         superblocks = {"accelerated_loops": 0, "accelerated_trips": 0}
-        histogram = []
         for bound in bounds:
             bound.finish(vwr2a.events)
             for stat, value in bound.superblock_stats().items():
                 superblocks[stat] += value
-            histogram.extend(bound.block_histogram())
-        self.last_run_info = RunInfo(
-            "compiled", None, (), superblocks, tuple(histogram)
-        )
-        return cycles
+        return RunInfo(cycles, "compiled", superblocks=superblocks)
 
     @staticmethod
     def _interleave(bounds, name, max_cycles) -> int:
@@ -464,51 +408,3 @@ class CompiledEngine:
             if not best.run_until(name, max_cycles, horizon):
                 running.remove(best)
         return max(bound.steps for bound in bounds)
-
-
-class AutoEngine:
-    """Conflict-aware engine selection (the default).
-
-    Acts on the compile-time cross-column SPM analysis of each launch:
-    kernels proven conflict-free execute on the compiled fast path;
-    kernels whose columns communicate through the SPM mid-kernel fall
-    back to the reference interpreter, bit-identically to
-    ``engine="reference"``. The
-    decision is surfaced on ``RunResult.engine`` /
-    ``RunResult.fallback_reason`` / ``RunResult.spm_conflicts``.
-    ``Vwr2a.run`` hands the verdict down from its per-config stamp
-    (``config_mem.stats.analysis_hits``), so warm launches skip the
-    analysis entirely.
-    """
-
-    name = "auto"
-
-    def __init__(self) -> None:
-        self.compiled = CompiledEngine()
-        self.reference = ReferenceEngine()
-        self.last_run_info = RunInfo("compiled", None, ())
-
-    @property
-    def decisions(self) -> Counter:
-        """Lifetime launch tally by the engine that actually executed.
-
-        Derived from the sub-engines' own counters (they tick on every
-        launch routed to them, including launches that later abort), so
-        there is exactly one tally to keep consistent —
-        ``Vwr2a.engine_decisions`` exposes it.
-        """
-        return self.compiled.decisions + self.reference.decisions
-
-    def run_kernel(self, vwr2a, name, active, max_cycles, report) -> int:
-        if report.conflicts:
-            self.last_run_info = RunInfo(
-                "reference", report.reason(), report.conflicts
-            )
-            return self.reference.run_kernel(
-                vwr2a, name, active, max_cycles
-            )
-        cycles = self.compiled.run_kernel(
-            vwr2a, name, active, max_cycles, report=report
-        )
-        self.last_run_info = self.compiled.last_run_info
-        return cycles

@@ -515,6 +515,9 @@ def main(argv=None) -> int:
         max_retries=args.retries,
         reference_fallback=not args.no_reference,
         heartbeat_timeout=args.heartbeat,
+        # Energy is part of the bit-identity contract: windows recovered
+        # on the reference rung must fold to the baseline's energy.
+        energy_model=True,
     )
     trace = respiration_signal(args.windows * WINDOW)
     report = campaign.run(trace)

@@ -104,29 +104,6 @@ class ColumnProgram:
                 _STRUCTURES.popitem(last=False)
         return entry
 
-    def compiled(self, params):
-        """Compile hook: the predecoded basic-block form of this program.
-
-        Cached on :attr:`structure` per ``params`` (identical bundle
-        sequences share one compilation, whatever their ``srf_init``);
-        used by the ``compiled`` execution engine at launch.
-        """
-        from repro.engine.compiler import compile_program
-
-        return compile_program(self, params)
-
-    def spm_footprint(self, params):
-        """Footprint hook: may-touch SPM address sets of this program.
-
-        Derived from the configuration words and ``srf_init`` by the
-        static analysis in :mod:`repro.engine.conflicts`, cached on
-        :attr:`structure` per ``(params, srf_init)``. Returns a
-        :class:`~repro.engine.conflicts.ColumnFootprint`.
-        """
-        from repro.engine.conflicts import column_footprint
-
-        return column_footprint(self, params)
-
 
 @dataclass
 class KernelConfig:
@@ -153,17 +130,6 @@ class KernelConfig:
                     f"kernel {self.name!r}: column {col} does not exist"
                 )
             program.validate(params)
-
-    def spm_conflicts(self, params):
-        """Footprint hook: cross-column SPM conflict report of this kernel.
-
-        The ``auto`` engine consults this at ``load_kernel`` to decide
-        whether the launch may use the compiled fast path; returns a
-        :class:`~repro.engine.conflicts.ConflictReport`.
-        """
-        from repro.engine.conflicts import analyze_columns
-
-        return analyze_columns(self.columns, params)
 
     def load_cycles(self, params) -> int:
         """Cycles to copy this configuration into the program memories.

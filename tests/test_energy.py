@@ -122,15 +122,14 @@ def test_report_component_scoping(model):
 
 
 # ---------------------------------------------------------------------------
-# Histogram-native folding (the superblock-tier energy fast path)
+# The one activity fold (reports and per-launch attribution)
 # ---------------------------------------------------------------------------
 
-def _compiled_fft_launches():
-    """Kernel launches of a compiled FFT-256 flow (with histograms)."""
+def _fft_launches(engine: str = "auto"):
+    """Kernel launches of an FFT-256 flow, with their event deltas."""
     from repro.kernels import FftEngine, KernelRunner
-    from repro.soc.platform import BiosignalSoC
 
-    runner = KernelRunner(soc=BiosignalSoC(engine="compiled"))
+    runner = KernelRunner(engine=engine)
     log = []
     runner.launch_log = log
     signal = [((i * 37 + (i * i) % 211) % 2000) - 1000 for i in range(256)]
@@ -139,61 +138,51 @@ def _compiled_fft_launches():
 
 
 def test_fold_histogram_equals_per_event_energy(model):
-    """Differential: histogram-folded == per-event energy, per launch."""
-    launches = _compiled_fft_launches()
+    """Differential: a launch's folded events == per-event energies."""
+    launches = _fft_launches()
     assert launches
     for result in launches:
-        assert result.block_histogram  # compiled path carries histograms
-        materialized = {}
-        for _, _, count, delta in result.block_histogram:
-            for name, n in delta:
-                materialized[name] = materialized.get(name, 0) + n * count
-        folded = model.fold_histogram(
-            (delta, count)
-            for _, _, count, delta in result.block_histogram
-        )
-        direct = model.report(
-            materialized, cycles=0, powered_components=()
-        )
-        assert set(folded.by_component) == set(direct.by_component)
-        for component, pj in direct.by_component.items():
+        assert result.engine == "compiled"
+        assert result.events
+        folded = model.fold_histogram(result.events)
+        expected = {}
+        for name, count in result.events.items():
+            component = COMPONENT_OF_EVENT[name]
+            expected[component] = expected.get(component, 0.0) \
+                + count * model.table.event_energy(name)
+        assert set(folded.by_component) == set(expected)
+        for component, pj in expected.items():
             assert folded.by_component[component] == pytest.approx(
-                pj, rel=1e-9
+                pj, rel=1e-12
             )
 
 
 def test_fold_histogram_leakage_matches_report(model):
-    histogram = (((Ev.RC_ALU_ADD, 3), (Ev.SRF_READ, 1)), 10),
+    events = {Ev.RC_ALU_ADD: 30, Ev.SRF_READ: 10}
     folded = model.fold_histogram(
-        histogram, cycles=500, powered_components=("datapath", "control")
+        events, cycles=500, powered_components=("datapath", "control")
     )
     direct = model.report(
-        {Ev.RC_ALU_ADD: 30, Ev.SRF_READ: 10}, 500,
-        powered_components=("datapath", "control"),
+        events, 500, powered_components=("datapath", "control"),
     )
-    for component, pj in direct.by_component.items():
-        assert folded.by_component[component] == pytest.approx(pj)
+    assert folded.by_component == direct.by_component
     assert folded.cycles == direct.cycles == 500
 
 
-def test_run_result_block_attribution_sums_to_launch_energy(model):
-    launches = _compiled_fft_launches()
-    result = max(launches, key=lambda r: len(r.block_histogram))
-    per_block = result.energy_by_block(model)
-    assert per_block  # (column, leader) -> component pJ
-    totals = {}
-    for folded in per_block.values():
-        for component, pj in folded.items():
-            totals[component] = totals.get(component, 0.0) + pj
-    launch_totals = result.energy_pj(model)
-    assert set(totals) == set(launch_totals)
-    for component, pj in launch_totals.items():
-        assert totals[component] == pytest.approx(pj, rel=1e-9)
+def test_fold_histogram_ignores_event_key_order(model):
+    events = {Ev.RC_ALU_MUL: 7, Ev.SPM_WIDE_READ: 3, Ev.VWR_WORD_READ: 11,
+              Ev.SRF_READ: 5, Ev.PM_FETCH: 13}
+    reordered = dict(reversed(list(events.items())))
+    assert model.fold_histogram(events) == model.fold_histogram(reordered)
+    assert model.report(events, 100) == model.report(reordered, 100)
 
 
-def test_reference_launches_fold_to_nothing(model):
-    from repro.core.cgra import RunResult
-
-    empty = RunResult(name="r", cycles=1, config_cycles=0, column_steps={})
-    assert empty.energy_pj(model) == {}
-    assert empty.energy_by_block(model) == {}
+def test_reference_launches_fold_like_compiled(model):
+    """Launch energy does not depend on the engine that ran the launch."""
+    compiled = _fft_launches()
+    reference = _fft_launches("reference")
+    assert [r.engine for r in reference] == ["reference"] * len(compiled)
+    for ref, cmp_ in zip(reference, compiled):
+        assert ref.events == cmp_.events
+        assert model.fold_histogram(ref.events) \
+            == model.fold_histogram(cmp_.events)

@@ -145,8 +145,9 @@ class TestSchedulerInterleavingOrder:
             return alive
 
         monkeypatch.setattr(executor.BoundColumn, "run_until", recording)
-        sim = Vwr2a(engine="compiled")
-        sim.execute(_two_column_config(sim.params))
+        sim = Vwr2a()
+        result = sim.execute(_two_column_config(sim.params))
+        assert result.engine == "compiled"
 
         assert calls, "multi-column kernel must go through the scheduler"
         # Replay the scheduler's contract: at every pick, the chosen
@@ -178,9 +179,10 @@ class TestSchedulerInterleavingOrder:
                 lambda *args: called.append(args) or 0
             ),
         )
-        sim = Vwr2a(engine="compiled")
+        sim = Vwr2a()
         b = ProgramBuilder(n_rcs=sim.params.rcs_per_column)
         b.emit(lcu=seti(0, 0))
         b.exit()
-        sim.execute(KernelConfig(name="one", columns={0: b.build()}))
+        result = sim.execute(KernelConfig(name="one", columns={0: b.build()}))
+        assert result.engine == "compiled"
         assert called == []

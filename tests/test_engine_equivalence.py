@@ -1,8 +1,10 @@
 """Differential tests: compiled engine vs the reference interpreter.
 
 Every seed kernel runs twice — once on ``engine="reference"`` (the
-golden per-cycle interpreter) and once on ``engine="compiled"`` — through
-identical staging flows, and the results must agree **exactly**: kernel
+golden per-cycle interpreter) and once on the compiled fast path of the
+default ``engine="auto"`` (each such launch is asserted to have run
+compiled) — through identical staging flows, and the results must agree
+**exactly**: kernel
 outputs, cycle ledgers, per-column executed-bundle counts, and the full
 platform event snapshot (which the calibrated energy model consumes, so
 event equality implies energy equality).
@@ -17,6 +19,7 @@ from repro.asm.builder import ProgramBuilder
 from repro.baselines import lowpass_taps_q15
 from repro.core.cgra import Vwr2a
 from repro.core.errors import ConfigurationError, ProgramError
+from repro.engine.compiler import compile_program
 from repro.isa.fields import (
     DST_R0,
     DST_R1,
@@ -50,11 +53,19 @@ from repro.kernels import (
 )
 from repro.soc.platform import BiosignalSoC
 
+#: The two execution paths under test, by the engine that must execute.
 ENGINES = ("reference", "compiled")
+
+#: Engine selection per path: conflict-free kernels run compiled on auto.
+SELECTION = {"reference": "reference", "compiled": "auto"}
+
+
+def _sim(engine: str) -> Vwr2a:
+    return Vwr2a(engine=SELECTION[engine])
 
 
 def _runner(engine: str) -> KernelRunner:
-    return KernelRunner(soc=BiosignalSoC(engine=engine))
+    return KernelRunner(soc=BiosignalSoC(engine=SELECTION[engine]))
 
 
 def _signal(n: int, scale: int = 2000) -> list:
@@ -69,8 +80,10 @@ def _run_both(flow):
     runners = {}
     for engine in ENGINES:
         runner = _runner(engine)
+        runner.launch_log = log = []
         payloads[engine] = flow(runner)
         runners[engine] = runner
+        assert log and {r.engine for r in log} == {engine}
     return payloads, runners
 
 
@@ -271,7 +284,7 @@ class TestEngineSemantics:
     def test_torture_program_full_state_equivalence(self):
         states = {}
         for engine in ENGINES:
-            sim = Vwr2a(engine=engine)
+            sim = _sim(engine)
             sim.spm.poke_words(0, [((i * 73) % 4001) - 2000
                                    for i in range(1024)])
             config = KernelConfig(
@@ -279,6 +292,7 @@ class TestEngineSemantics:
                 columns={0: _torture_program(sim.params)},
             )
             result = sim.execute(config)
+            assert result.engine == engine
             col = sim.columns[0]
             states[engine] = {
                 "cycles": result.cycles,
@@ -300,9 +314,10 @@ class TestEngineSemantics:
         results = {}
         snapshots = {}
         for engine in ENGINES:
-            sim = Vwr2a(engine=engine)
+            sim = _sim(engine)
             sim.spm.poke_words(0, list(range(256)))
             result = sim.execute(_asymmetric_config(sim.params))
+            assert result.engine == engine
             results[engine] = result
             snapshots[engine] = (
                 sim.events.snapshot(),
@@ -323,10 +338,11 @@ class TestEngineSemantics:
         b.emit(lcu=seti(0, 0))
         b.emit(lcu=bge(0, 0, "spin"))
         b.exit()  # unreachable: the loop above spins forever
-        sim = Vwr2a(engine=engine)
+        sim = _sim(engine)
         sim.store_kernel(KernelConfig(name="spin", columns={0: b.build()}))
         with pytest.raises(ProgramError, match="exceeded 100 cycles"):
             sim.run("spin", max_cycles=100)
+        assert sim.engine_decisions == {engine: 1}
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_run_past_end_guard(self, engine):
@@ -338,44 +354,51 @@ class TestEngineSemantics:
             make_bundle(lcu=seti(0, 0)),
             make_bundle(lcu=addi(0, 1)),
         ])
-        sim = Vwr2a(engine=engine)
+        sim = _sim(engine)
         sim.store_kernel(KernelConfig(name="noexit", columns={0: program}))
         with pytest.raises(ProgramError, match="ran past the program"):
             sim.run("noexit", max_cycles=100)
+        assert sim.engine_decisions == {engine: 1}
 
     def test_engine_selection(self):
         assert Vwr2a().engine == "auto"
-        assert Vwr2a(engine="compiled").engine == "compiled"
         assert Vwr2a(engine="reference").engine == "reference"
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            Vwr2a(engine="turbo")
+        for name in ("turbo", "compiled"):
+            with pytest.raises(
+                ConfigurationError,
+                match="unknown engine .*'auto', 'reference'",
+            ):
+                Vwr2a(engine=name)
         with pytest.raises(ConfigurationError, match="conflicts"):
             KernelRunner(
-                soc=BiosignalSoC(engine="reference"), engine="compiled"
+                soc=BiosignalSoC(engine="reference"), engine="auto"
             )
 
     def test_compiled_programs_are_memoized_structurally(self):
-        sim = Vwr2a(engine="compiled")
+        sim = Vwr2a()
         run1 = sim.execute(_asymmetric_config(sim.params))
+        assert run1.engine == "compiled"
         # A fresh, structurally identical config (new objects, same code)
         # must reuse the compiled form via the fingerprint memo.
         config = _asymmetric_config(sim.params)
         sim.store_kernel(config)
         compiled = {
-            col: program.compiled(sim.params)
+            col: compile_program(program, sim.params)
             for col, program in config.columns.items()
         }
         for col in config.columns:
-            assert compiled[col] is sim.columns[col].program.compiled(
-                sim.params
+            assert compiled[col] is compile_program(
+                sim.columns[col].program, sim.params
             )
         run2 = sim.run("asym")
+        assert run2.engine == "compiled"
         assert run2.cycles == run1.cycles
 
     def test_pc_histogram_matches_column_steps(self):
-        sim = Vwr2a(engine="compiled")
+        sim = Vwr2a()
         config = _asymmetric_config(sim.params)
         result = sim.execute(config)
+        assert result.engine == "compiled"
         engine = sim._engine
         for col_index, steps in result.column_steps.items():
             bound = engine._bind(sim.columns[col_index])

@@ -337,6 +337,26 @@ class TestSequentialResilience:
         assert "engine decisions differ" in \
             report.identical_to(chaos_baseline)
 
+    def test_reference_rung_recovery_keeps_energy_identical(self):
+        # A window recovered on the reference engine must fold to the
+        # baseline's energy bits and per-kernel attribution.
+        stream = WindowStream(respiration_signal(2 * WINDOW), window=WINDOW)
+        baseline = StreamScheduler(
+            config="cpu_vwr2a", energy_model=True,
+        ).run(stream)
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="spm_bitflip", window=1, addr=2, bit=1,
+                      persist=99, compiled_only=True),
+        ))
+        report = StreamScheduler(
+            config="cpu_vwr2a", energy_model=True, fault_plan=plan,
+            max_retries=1,
+        ).run(stream)
+        assert report.resilience["reference_recoveries"] == 1
+        assert set(report.windows[1].engine_counts) == {"reference"}
+        assert report.windows[1].kernel_energy_pj
+        assert report.identical_to(baseline, engines=False) is None
+
     def test_reference_fallback_can_be_disabled(self, chaos_stream):
         plan = FaultPlan(specs=(
             FaultSpec(kind="spm_bitflip", window=0, addr=2, bit=1,

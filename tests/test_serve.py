@@ -206,9 +206,9 @@ class TestStreamBitIdentity:
         assert report.energy_by_kernel == {}
 
     def test_per_kernel_energy_attribution(self, streamed):
-        # Histogram-native attribution: every compiled launch folds its
-        # static block deltas; the per-window map must equal folding the
-        # launches directly, and the stream aggregate must sum windows.
+        # Every launch folds its event delta; the per-window map must
+        # equal folding the launches directly, and the stream aggregate
+        # must sum windows.
         from repro.energy import default_model
 
         model = default_model()
@@ -216,13 +216,10 @@ class TestStreamBitIdentity:
             assert win.kernel_energy_pj
             expected = {}
             for result in win.launches:
-                folded = model.fold_histogram(
-                    (delta, count)
-                    for _, _, count, delta in result.block_histogram
-                ).total_pj
+                folded = model.fold_histogram(result.events).total_pj
                 expected[result.name] = \
                     expected.get(result.name, 0.0) + folded
-            assert win.kernel_energy_pj == pytest.approx(expected)
+            assert win.kernel_energy_pj == expected
         aggregate = streamed.energy_by_kernel
         assert set(aggregate) == {
             name for w in streamed.windows for name in w.kernel_energy_pj
@@ -236,6 +233,21 @@ class TestStreamBitIdentity:
         # the full window energy model (which adds leakage, DMA, CPU).
         total_uj = sum(aggregate.values()) * 1e-6
         assert 0 < total_uj < streamed.total_energy_uj
+
+    def test_energy_does_not_depend_on_the_engine(self, trace):
+        # Equal events must fold to equal bits, window energy and
+        # per-kernel attribution alike, whichever engine ran the launches.
+        stream = WindowStream(trace[:2 * WINDOW], window=WINDOW)
+        ref, auto = (
+            StreamScheduler(
+                config="cpu_vwr2a", runner=runner, energy_model=True,
+            ).run(stream)
+            for runner in (KernelRunner(engine="reference"), KernelRunner())
+        )
+        assert set(ref.engine_counts) == {"reference"}
+        assert set(auto.engine_counts) == {"compiled"}
+        assert ref.windows[0].kernel_energy_pj
+        assert auto.identical_to(ref, engines=False) is None
 
     def test_energy_follows_the_pipeline_config(self, trace):
         # A pipeline declaring its configuration wins over the scheduler

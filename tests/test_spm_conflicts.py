@@ -3,12 +3,11 @@
 Covers the soundness hole closed on top of the compiled engine: kernels
 whose columns communicate through the SPM mid-kernel must never run on the
 block-granularity scheduler. ``engine="auto"`` (the default) proves seed
-kernels conflict-free and keeps them compiled, routes conflicting kernels
-to the reference interpreter bit-identically, and forcing
-``engine="compiled"`` on a conflicting kernel raises a diagnostic naming
-the columns and address ranges. Aborted runs (address faults, budget
-overruns) replay cycle-by-cycle so events and column state match the
-interpreter exactly. ``store_kernel`` caches encoding and hazard checks
+kernels conflict-free and keeps them compiled, and routes conflicting
+kernels to the reference interpreter bit-identically, with a diagnostic
+naming the columns and address ranges. Aborted compiled runs (address
+faults, budget overruns) replay cycle-by-cycle so events and column state
+match the interpreter exactly. ``store_kernel`` caches encoding and hazard checks
 on the structure table, so re-storing identical kernels is free.
 """
 
@@ -20,7 +19,7 @@ from repro.arch import DEFAULT_PARAMS
 from repro.asm.builder import ProgramBuilder
 from repro.baselines import lowpass_taps_q15
 from repro.core.cgra import Vwr2a
-from repro.core.errors import AddressError, ProgramError, SpmConflictError
+from repro.core.errors import AddressError, ProgramError
 from repro.engine import conflicts
 from repro.isa.fields import DST_VWR_B, VWR_A, Vwr, imm
 from repro.isa.lcu import addi, blt, seti
@@ -201,19 +200,6 @@ class TestAutoSelection:
             )
         assert states["reference"] == states["auto"]
 
-    def test_forced_compiled_raises_named_diagnostic(self):
-        sim = Vwr2a(engine="compiled")
-        with pytest.raises(SpmConflictError) as excinfo:
-            sim.execute(_producer_consumer())
-        message = str(excinfo.value)
-        assert "column 0" in message and "column 1" in message
-        assert f"[{2 * LINE_WORDS}..{3 * LINE_WORDS - 1}]" in message
-        assert excinfo.value.conflicts[0].words[0] == 2 * LINE_WORDS
-        # The refused launch must not have executed a single cycle.
-        assert all(col.steps == 0 for col in sim.columns)
-        assert sim.spm.peek_words(0, 4 * LINE_WORDS) \
-            == [0] * (4 * LINE_WORDS)
-
     def test_write_write_overlap_is_a_conflict(self):
         columns = {}
         for col in (0, 1):
@@ -304,7 +290,7 @@ class TestAutoSelection:
         b0.emit(lsu=st_srf(1, 0, inc=1), lcu=addi(0, 1))
         b0.emit(lcu=blt(0, 4, "l"))
         b0.exit()
-        footprint = b0.build().spm_footprint(DEFAULT_PARAMS)
+        footprint = conflicts.column_footprint(b0.build(), DEFAULT_PARAMS)
         # Any carry-in counter value is possible, so every word the
         # post-increment walker can reach must be in the footprint — not
         # just the 5 words a zero-seeded counter would visit.
@@ -313,9 +299,11 @@ class TestAutoSelection:
 
     def test_footprint_hooks_on_isa_types(self):
         config = elementwise_kernel(DEFAULT_PARAMS, RCOp.SMUL, 256, 0, 2, 4)
-        report = config.spm_conflicts(DEFAULT_PARAMS)
+        report = conflicts.analyze_columns(config.columns, DEFAULT_PARAMS)
         assert report.conflict_free
-        footprint = config.columns[0].spm_footprint(DEFAULT_PARAMS)
+        footprint = conflicts.column_footprint(
+            config.columns[0], DEFAULT_PARAMS
+        )
         assert footprint.reads and footprint.writes
         assert not footprint.unbounded_reads
         bundle = config.columns[0].bundles[1]  # LD_VWR inside the loop
@@ -394,22 +382,28 @@ class TestAnalysisCaching:
 class TestAbortAccounting:
     """docs/engine.md caveat closed: aborted runs fold cycle-by-cycle."""
 
-    @pytest.mark.parametrize("engine", ("compiled", "auto"))
-    def test_address_fault_matches_reference_exactly(self, engine):
+    # "auto" asks for the selecting engine by name; "compiled" takes the
+    # default constructor, which must also run this kernel compiled.
+    @pytest.mark.parametrize(
+        "kwargs", ({"engine": "auto"}, {}), ids=("auto", "compiled")
+    )
+    def test_address_fault_matches_reference_exactly(self, kwargs):
         states = {}
-        for name in ("reference", engine):
-            sim = Vwr2a(engine=name)
+        for name, engine_kwargs in (("reference", {"engine": "reference"}),
+                                    ("under_test", kwargs)):
+            sim = Vwr2a(**engine_kwargs)
             sim.spm.poke_words(0, [i % 1000 for i in range(512)])
             with pytest.raises(AddressError) as excinfo:
                 sim.execute(_faulting_config())
             states[name] = (str(excinfo.value), _full_state(sim))
-        assert states["reference"] == states[engine]
+        assert sim.engine_decisions == {"compiled": 1}
+        assert states["reference"] == states["under_test"]
 
     def test_budget_overrun_matches_reference_mid_block(self):
         # max_cycles falls inside a block: the reference interpreter stops
         # mid-block; the compiled engine must replay to the same point.
         states = {}
-        for engine in ("reference", "compiled"):
+        for engine in ("reference", "auto"):
             sim = Vwr2a(engine=engine)
             b = ProgramBuilder(n_rcs=4)
             b.emit(lcu=seti(0, 0))
@@ -423,7 +417,8 @@ class TestAbortAccounting:
             with pytest.raises(ProgramError, match="exceeded 101 cycles"):
                 sim.run("spin", max_cycles=101)
             states[engine] = _full_state(sim)
-        assert states["reference"] == states["compiled"]
+        assert sim.engine_decisions == {"compiled": 1}
+        assert states["reference"] == states["auto"]
 
     def test_multi_column_fault_matches_reference(self):
         # Column 0 faults while column 1 is still looping; the replay must
@@ -451,7 +446,7 @@ class TestAbortAccounting:
             )
 
         states = {}
-        for engine in ("reference", "compiled"):
+        for engine in ("reference", "auto"):
             sim = Vwr2a(engine=engine)
             with pytest.raises(AddressError) as excinfo:
                 sim.execute(config())
@@ -460,7 +455,8 @@ class TestAbortAccounting:
                 _full_state(sim, 0),
                 _full_state(sim, 1),
             )
-        assert states["reference"] == states["compiled"]
+        assert sim.engine_decisions == {"compiled": 1}
+        assert states["reference"] == states["auto"]
 
 
 class TestStoreCache:

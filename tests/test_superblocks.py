@@ -34,7 +34,24 @@ from repro.isa.mxcu import inck, setk
 from repro.isa.program import KernelConfig
 from repro.isa.rc import RCOp, rc
 
+#: The two execution paths under test, by the engine that must execute.
 ENGINES = ("reference", "compiled")
+
+#: Engine selection per path: conflict-free kernels run compiled on auto.
+SELECTION = {"reference": "reference", "compiled": "auto"}
+
+
+def _sim(engine: str, params=None) -> Vwr2a:
+    if params is None:
+        return Vwr2a(engine=SELECTION[engine])
+    return Vwr2a(params=params, engine=SELECTION[engine])
+
+
+def _execute(sim: Vwr2a, config, engine: str):
+    """Run ``config`` and check it executed on the ``engine`` path."""
+    result = sim.execute(config)
+    assert result.engine == engine
+    return result
 
 
 def _full_state(sim: Vwr2a) -> dict:
@@ -57,12 +74,11 @@ def _run_both(config_builder, params=None, poke=None):
     states = {}
     results = {}
     for engine in ENGINES:
-        sim = Vwr2a(engine=engine) if params is None \
-            else Vwr2a(params=params, engine=engine)
+        sim = _sim(engine, params)
         if poke is not None:
             poke(sim)
         config = config_builder(sim.params)
-        results[engine] = sim.execute(config)
+        results[engine] = _execute(sim, config, engine)
         states[engine] = _full_state(sim)
     assert states["reference"] == states["compiled"]
     ref, cmp_ = results["reference"], results["compiled"]
@@ -238,8 +254,9 @@ class TestChainFusion:
 
         states = {}
         for engine in ENGINES:
-            sim = Vwr2a(engine=engine)
-            sim.execute(KernelConfig(name="chain", columns={0: program}))
+            sim = _sim(engine)
+            _execute(sim, KernelConfig(name="chain", columns={0: program}),
+                     engine)
             states[engine] = _full_state(sim)
         assert states["reference"] == states["compiled"]
 
@@ -262,8 +279,9 @@ class TestChainFusion:
 
         states = {}
         for engine in ENGINES:
-            sim = Vwr2a(engine=engine)
-            sim.execute(KernelConfig(name="multi", columns={0: program}))
+            sim = _sim(engine)
+            _execute(sim, KernelConfig(name="multi", columns={0: program}),
+                     engine)
             states[engine] = _full_state(sim)
         assert states["reference"] == states["compiled"]
 
@@ -291,18 +309,17 @@ class TestChainFusion:
         results = {}
         states = {}
         for engine in ENGINES:
-            sim = Vwr2a(engine=engine)
-            results[engine] = sim.execute(
-                KernelConfig(name="nest", columns={0: program})
+            sim = _sim(engine)
+            results[engine] = _execute(
+                sim, KernelConfig(name="nest", columns={0: program}), engine
             )
             states[engine] = _full_state(sim)
         assert states["reference"] == states["compiled"]
         assert results["compiled"].superblocks["accelerated_trips"] == 40
 
     def test_pc_histogram_covers_superblock_members(self):
-        sim = Vwr2a(engine="compiled")
-        config = _broadcast_loop(sim.params, 16)
-        result = sim.execute(config)
+        sim = Vwr2a()
+        result = _execute(sim, _broadcast_loop(sim.params, 16), "compiled")
         bound = sim._engine._bind(sim.columns[0])
         assert sum(bound.pc_histogram()) == result.column_steps[0]
 
@@ -312,13 +329,17 @@ class TestRunResultSuperblocks:
         sim = Vwr2a(engine="reference")
         result = sim.execute(_broadcast_loop(sim.params, 16))
         assert result.superblocks is None
-        assert result.block_histogram == ()
 
     def test_block_histogram_counts_match_column_steps(self):
-        sim = Vwr2a(engine="compiled")
-        result = sim.execute(_broadcast_loop(sim.params, 16))
+        # The bound column's per-superblock execution counts cover every
+        # executed bundle, and the launch's event delta logs one
+        # column cycle per bundle.
+        sim = Vwr2a()
+        result = _execute(sim, _broadcast_loop(sim.params, 16), "compiled")
+        bound = sim._engine._bind(sim.columns[0])
         total = sum(
-            count * dict(delta).get("column.cycle", 0)
-            for _, _, count, delta in result.block_histogram
+            count * blk.n_cycles
+            for blk, count in zip(bound.compiled.blocks, bound.counts)
         )
         assert total == result.column_steps[0]
+        assert result.events["column.cycle"] == total
