@@ -1,13 +1,13 @@
 """Compile-time cross-column SPM access analysis.
 
-The compiled engine's virtual-time scheduler synchronizes columns at
-basic-block granularity, so a kernel in which one column reads SPM
-addresses another column writes *mid-kernel* could observe a different
-interleaving than the per-cycle reference interpreter. This module closes
-that soundness hole statically: at ``load_kernel`` every column program is
-abstractly executed over its configuration words to derive the **footprint**
-of SPM addresses it may read and write, and the footprints of concurrently
-live columns are intersected.
+The compiled engine runs each column of a launch to EXIT in turn, so a
+kernel in which one column reads SPM addresses another column writes
+*mid-kernel* would observe a different order than the per-cycle reference
+interpreter. This module proves per launch that running each column to
+EXIT in turn is unobservable: at ``load_kernel`` every column program is
+abstractly executed over its configuration words to derive the
+**footprint** of SPM addresses it may read and write, and the footprints
+of concurrently live columns are intersected.
 
 The analysis leans on the same property the static event-delta fold relies
 on (:mod:`repro.engine.deltas`): *which* SPM addresses a kernel touches is
@@ -114,7 +114,7 @@ class ColumnFootprint:
 
 @dataclass(frozen=True)
 class SpmConflict:
-    """One cross-column overlap the block scheduler cannot order safely."""
+    """One cross-column overlap that makes the column order observable."""
 
     kind: str        #: ``"write-read"`` or ``"write-write"``
     writer: int      #: column whose writes overlap

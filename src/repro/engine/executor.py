@@ -20,12 +20,11 @@ Two engines drive kernel execution for :class:`repro.core.cgra.Vwr2a`:
   bit-identical to per-cycle logging because every bundle's event delta
   is static (see :mod:`repro.engine.deltas`).
 
-Multi-column kernels run under a virtual-time scheduler: the column with
-the smallest cycle count advances superblocks until its virtual time
-passes the smallest of the other running columns'. Columns therefore
-synchronize at superblock (not cycle) granularity; the conflict analysis
-proves per launch that no column writes addresses another column
-touches, so the relaxed ordering is unobservable.
+A compiled launch runs each active column once, in column order, from
+PC 0 to EXIT. Columns share only the SPM and the additive event counters;
+the conflict analysis proves per launch that no column writes an address
+another column touches, so running the columns one after another is
+unobservable against the per-cycle lock-step of the reference.
 
 Aborted launches (``AddressError`` / ``ProgramError``) are rewound to the
 pre-launch snapshot and replayed cycle-by-cycle on the reference
@@ -172,20 +171,11 @@ class BoundColumn:
         self.loops_accelerated = 0
         self.trips_accelerated = 0
 
-    def run_until(self, kernel_name: str, max_cycles: int,
-                  horizon: int = None) -> bool:
-        """Advance whole superblocks until the horizon; False once EXITed.
+    def run(self, kernel_name: str, max_cycles: int) -> None:
+        """Execute whole superblocks from the current PC to EXIT.
 
-        ``horizon`` (multi-column scheduling) is the smallest virtual
-        time of the *other* running columns: this column executes
-        superblock after superblock and hands control back as soon as its
-        own virtual time passes it (``None`` runs unthrottled to EXIT).
-        Fused self-loops without a closed-form plan are additionally
-        capped so one loop run stops just past the horizon; loops **with**
-        a closed-form plan complete in a single advance however far ahead
-        that lands them — their trip count is proven to depend only on
-        column-private state, and the launch was admitted conflict-free,
-        so the other columns cannot observe the difference.
+        Fused self-loops run up to the remaining cycle budget per
+        dispatch; a closed-form loop completes its counted run in one.
         """
         table = self.table
         counts = self.counts
@@ -201,10 +191,6 @@ class BoundColumn:
                     limit = (max_cycles - steps) // n_cycles
                     if limit <= 0:
                         raise _budget_error(kernel_name, max_cycles)
-                    if horizon is not None and not closed:
-                        limit = min(
-                            limit, max(1, (horizon - steps) // n_cycles + 1)
-                        )
                     pc, trips = fn(limit)
                     counts[index] += trips
                     steps += trips * n_cycles
@@ -219,9 +205,7 @@ class BoundColumn:
                     pc = fn()
                     if pc < 0:
                         pc = exit_next
-                        return False
-                if horizon is not None and steps > horizon:
-                    return True
+                        return
         finally:
             # Persist progress even when aborting (budget / address
             # errors), so the error-path event fold sees it.
@@ -350,18 +334,15 @@ class CompiledEngine:
         for bound in bounds:
             bound.begin()
         try:
-            if len(bounds) == 1:
-                bounds[0].run_until(name, max_cycles)
-                cycles = bounds[0].steps
-            else:
-                cycles = self._interleave(bounds, name, max_cycles)
+            for bound in bounds:
+                bound.run(name, max_cycles)
         except (AddressError, ProgramError) as fault:
             # Aborted kernel: rewind to the pre-launch state and replay on
-            # the per-cycle interpreter. Conflict-free kernels execute
-            # deterministically, so the replay reaches the same fault —
-            # with events and column state accounted cycle by cycle,
-            # including the final partial bundle, exactly like the
-            # reference (docs/engine.md).
+            # the per-cycle interpreter. Earlier columns may already have
+            # run to EXIT; the replay reaches the fault the reference
+            # reaches, in whichever column that is first — with events
+            # and column state accounted cycle by cycle, including the
+            # final partial bundle (docs/engine.md).
             _restore_launch(vwr2a, snapshot)
             interpret(name, active, max_cycles)
             # A completed replay means the two engines disagree on whether
@@ -378,33 +359,10 @@ class CompiledEngine:
             for bound in bounds:
                 bound.flush(vwr2a.events)
             raise
+        cycles = max(bound.steps for bound in bounds)
         superblocks = {"accelerated_loops": 0, "accelerated_trips": 0}
         for bound in bounds:
             bound.finish(vwr2a.events)
             for stat, value in bound.superblock_stats().items():
                 superblocks[stat] += value
         return RunInfo(cycles, "compiled", superblocks=superblocks)
-
-    @staticmethod
-    def _interleave(bounds, name, max_cycles) -> int:
-        """Virtual-time scheduling: the column with the smallest cycle
-        count advances whole superblocks until its virtual time passes
-        the smallest of the other running columns' (the reference
-        interleaves per cycle; the conflict analysis proves the coarser
-        alignment unobservable). Fused self-loops without a closed-form
-        trip plan are capped at that horizon so one run cannot race
-        arbitrarily far ahead; once only one column is still running it
-        executes unthrottled to EXIT (done columns no longer step in the
-        reference either)."""
-        running = list(bounds)
-        while running:
-            best = running[0]
-            horizon = None
-            for bound in running[1:]:
-                if bound.steps < best.steps:
-                    best, horizon = bound, best.steps
-                elif horizon is None or bound.steps < horizon:
-                    horizon = bound.steps
-            if not best.run_until(name, max_cycles, horizon):
-                running.remove(best)
-        return max(bound.steps for bound in bounds)

@@ -194,7 +194,10 @@ class FaultPlan:
                  max_launch: int = 4) -> "FaultPlan":
         """Draw a plan: each window suffers each kind with its rate.
 
-        ``rates`` maps fault kind -> per-window probability. All
+        ``rates`` maps fault kind -> per-window probability. A kind with
+        a positive rate that no window drew is placed in one window drawn
+        at random, so every requested kind strikes at least once (a rate
+        of 0 places none). All
         randomness comes from ``random.Random(seed)``, so the same
         arguments always yield the same plan. ``persist``/
         ``compiled_only`` apply to every generated spec — campaigns
@@ -216,64 +219,67 @@ class FaultPlan:
 
             spm_words = DEFAULT_PARAMS.spm_lines * DEFAULT_PARAMS.line_words
         rng = random.Random(seed)
-        specs = []
-        for index in range(n_windows):
-            for kind in sorted(rates):
-                if rng.random() >= rates[kind]:
-                    continue
-                common = dict(
-                    kind=kind, window=index, persist=persist,
-                    compiled_only=compiled_only,
+
+        def draw(kind: str, index: int) -> FaultSpec:
+            common = dict(
+                kind=kind, window=index, persist=persist,
+                compiled_only=compiled_only,
+            )
+            if kind == "spm_bitflip":
+                return FaultSpec(
+                    addr=rng.randrange(spm_words),
+                    bit=rng.randrange(32),
+                    at_launch=rng.randrange(max_launch),
+                    **common,
                 )
-                if kind == "spm_bitflip":
-                    specs.append(FaultSpec(
-                        addr=rng.randrange(spm_words),
-                        bit=rng.randrange(32),
-                        at_launch=rng.randrange(max_launch),
-                        **common,
-                    ))
-                elif kind == "spm_stuck":
-                    specs.append(FaultSpec(
-                        addr=rng.randrange(spm_words),
-                        value=rng.choice((0, -1, 0x5555_5555)),
-                        at_launch=rng.randrange(max_launch),
-                        **common,
-                    ))
-                elif kind == "brownout":
-                    lo, hi = brownout_cycles
-                    specs.append(FaultSpec(
-                        after_cycles=rng.randrange(lo, hi), **common,
-                    ))
-                elif kind == "chunk_corrupt":
-                    specs.append(FaultSpec(
-                        offset=rng.randrange(window),
-                        xor_mask=1 << rng.randrange(14),
-                        **common,
-                    ))
-                elif kind == "chunk_truncate":
-                    specs.append(FaultSpec(
-                        keep=rng.randrange(window), **common,
-                    ))
-                elif kind == "net_delay":
-                    specs.append(FaultSpec(
-                        delay_ms=rng.randrange(50, 400), **common,
-                    ))
-                elif kind == "net_corrupt":
-                    specs.append(FaultSpec(
-                        offset=rng.randrange(256),
-                        xor_mask=1 << rng.randrange(8),
-                        **common,
-                    ))
-                elif kind == "net_truncate":
-                    specs.append(FaultSpec(
-                        keep=rng.randrange(4, 64), **common,
-                    ))
-                elif kind == "net_slow":
-                    specs.append(FaultSpec(
-                        chunk_bytes=rng.randrange(3, 17),
-                        delay_ms=rng.randrange(100, 300),
-                        **common,
-                    ))
-                else:  # worker_kill / worker_hang / net_drop / dup / disc
-                    specs.append(FaultSpec(**common))
+            if kind == "spm_stuck":
+                return FaultSpec(
+                    addr=rng.randrange(spm_words),
+                    value=rng.choice((0, -1, 0x5555_5555)),
+                    at_launch=rng.randrange(max_launch),
+                    **common,
+                )
+            if kind == "brownout":
+                lo, hi = brownout_cycles
+                return FaultSpec(after_cycles=rng.randrange(lo, hi), **common)
+            if kind == "chunk_corrupt":
+                return FaultSpec(
+                    offset=rng.randrange(window),
+                    xor_mask=1 << rng.randrange(14),
+                    **common,
+                )
+            if kind == "chunk_truncate":
+                return FaultSpec(keep=rng.randrange(window), **common)
+            if kind == "net_delay":
+                return FaultSpec(delay_ms=rng.randrange(50, 400), **common)
+            if kind == "net_corrupt":
+                return FaultSpec(
+                    offset=rng.randrange(256),
+                    xor_mask=1 << rng.randrange(8),
+                    **common,
+                )
+            if kind == "net_truncate":
+                return FaultSpec(keep=rng.randrange(4, 64), **common)
+            if kind == "net_slow":
+                return FaultSpec(
+                    chunk_bytes=rng.randrange(3, 17),
+                    delay_ms=rng.randrange(100, 300),
+                    **common,
+                )
+            # worker_kill / worker_hang / net_drop / dup / disc
+            return FaultSpec(**common)
+
+        specs = [
+            draw(kind, index)
+            for index in range(n_windows)
+            for kind in sorted(rates)
+            if rng.random() < rates[kind]
+        ]
+        # A requested kind that drew no window still strikes one, so a
+        # campaign cell never passes without a fault to recover from.
+        drawn = {spec.kind for spec in specs}
+        for kind in sorted(rates):
+            if n_windows and rates[kind] > 0 and kind not in drawn:
+                specs.append(draw(kind, rng.randrange(n_windows)))
+        specs.sort(key=lambda spec: (spec.window, spec.kind))
         return cls(specs=tuple(specs), seed=seed)

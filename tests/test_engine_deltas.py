@@ -1,10 +1,11 @@
-"""Isolation tests for the static event-delta layer and the scheduler.
+"""Isolation tests for the static event-delta layer and the launch order.
 
 ``bundle_event_delta`` is asserted against the reference interpreter one
 bundle class at a time (every unit, operand kind and op family), instead
-of only through whole-kernel differentials, and the virtual-time
-scheduler's column-interleaving order (least virtual time first, horizon
-= smallest other running column) is pinned down explicitly.
+of only through whole-kernel differentials. The compiled launch order is
+pinned down explicitly: each active column runs once, in column order,
+from PC 0 to EXIT, and a fault in a later column still replays exactly
+after an earlier column has already finished.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from repro.arch import ArchParams
 from repro.asm.builder import ProgramBuilder
 from repro.core.cgra import Vwr2a
 from repro.core.column import Column
+from repro.core.errors import AddressError
 from repro.core.events import EventCounters
 from repro.core.spm import Scratchpad
 from repro.engine import executor
@@ -30,6 +32,7 @@ from repro.isa.fields import (
     RCB,
     RCT,
     VWR_A,
+    VWR_B,
     ShuffleMode,
     Vwr,
     dst_srf,
@@ -116,7 +119,7 @@ class TestBundleDeltas:
 
 
 def _two_column_config(params) -> KernelConfig:
-    """Asymmetric two-column kernel (different virtual-time profiles)."""
+    """Asymmetric two-column kernel (the columns run different lengths)."""
     columns = {}
     for col, bound in enumerate((5, 17)):
         b = ProgramBuilder(n_rcs=params.rcs_per_column)
@@ -131,58 +134,79 @@ def _two_column_config(params) -> KernelConfig:
     return KernelConfig(name="order", columns=columns)
 
 
-class TestSchedulerInterleavingOrder:
-    def test_least_virtual_time_column_advances_first(self, monkeypatch):
-        calls = []
-        original = executor.BoundColumn.run_until
+def _late_fault_config(params) -> KernelConfig:
+    """Column 0 stores a fresh VWR line per trip for 40 trips; column 1
+    reads lines off the end of the SPM and faults on its third trip."""
+    b0 = ProgramBuilder(n_rcs=params.rcs_per_column)
+    b0.srf(0, 0)
+    b0.emit(lcu=seti(0, 0))
+    b0.label("store")
+    b0.emit(rcs=[rc(RCOp.SADD, DST_VWR_B, VWR_B, imm(7))]
+            * params.rcs_per_column, mxcu=inck(1))
+    b0.emit(lsu=st_vwr(Vwr.B, 0, inc=1), lcu=addi(0, 1))
+    b0.emit(lcu=blt(0, 40, "store"))
+    b0.exit()
+    b1 = ProgramBuilder(n_rcs=params.rcs_per_column)
+    b1.srf(0, params.spm_lines - 2)
+    b1.emit(lcu=seti(0, 0))
+    b1.label("load")
+    b1.emit(lsu=ld_vwr(Vwr.A, 0, inc=1), lcu=addi(0, 1))
+    b1.emit(lcu=blt(0, 10, "load"))
+    b1.exit()
+    return KernelConfig(
+        name="late_fault", columns={0: b0.build(), 1: b1.build()}
+    )
 
-        def recording(self, name, max_cycles, horizon=None):
-            before = self.steps
-            alive = original(self, name, max_cycles, horizon)
-            calls.append(
-                (self.column.index, before, horizon, self.steps, alive)
-            )
-            return alive
 
-        monkeypatch.setattr(executor.BoundColumn, "run_until", recording)
+def _launch_state(sim) -> tuple:
+    return (
+        sim.events.snapshot(),
+        sim.spm.peek_words(0, sim.params.spm_words),
+        [col.state_snapshot() for col in sim.columns],
+    )
+
+
+def _recording_runs(monkeypatch) -> list:
+    """Log (column, outcome) of every ``BoundColumn.run`` call."""
+    calls = []
+    original = executor.BoundColumn.run
+
+    def recording(self, name, max_cycles):
+        try:
+            original(self, name, max_cycles)
+        except Exception as fault:
+            calls.append((self.column.index, type(fault).__name__))
+            raise
+        calls.append((self.column.index, "exit"))
+
+    monkeypatch.setattr(executor.BoundColumn, "run", recording)
+    return calls
+
+
+class TestOnePassPerColumn:
+    def test_each_column_runs_once_in_column_order(self, monkeypatch):
+        calls = _recording_runs(monkeypatch)
         sim = Vwr2a()
         result = sim.execute(_two_column_config(sim.params))
         assert result.engine == "compiled"
+        assert calls == [(0, "exit"), (1, "exit")]
+        assert result.cycles == max(result.column_steps.values())
 
-        assert calls, "multi-column kernel must go through the scheduler"
-        # Replay the scheduler's contract: at every pick, the chosen
-        # column's virtual time is minimal among running columns, the
-        # horizon equals the smallest of the *other* running columns',
-        # and the column hands control back just past that horizon.
-        steps = {0: 0, 1: 0}
-        running = {0, 1}
-        for index, before, horizon, after, alive in calls:
-            assert index in running
-            assert before == steps[index]
-            others = [steps[c] for c in running if c != index]
-            if others:
-                assert before <= min(others)
-                assert horizon == min(others)
-            else:
-                assert horizon is None
-            if alive:
-                assert after > horizon
-            else:
-                running.remove(index)
-            steps[index] = after
+    def test_later_column_fault_replays_exactly(self, monkeypatch):
+        reference = Vwr2a(engine="reference")
+        with pytest.raises(AddressError) as expected:
+            reference.execute(_late_fault_config(reference.params))
+        # The reference stops column 0 mid-loop at column 1's fault.
+        column0 = reference.columns[0]
+        assert not column0.done and column0.steps < 40 * 3
 
-    def test_single_column_bypasses_the_scheduler(self, monkeypatch):
-        called = []
-        monkeypatch.setattr(
-            executor.CompiledEngine, "_interleave",
-            staticmethod(
-                lambda *args: called.append(args) or 0
-            ),
-        )
+        calls = _recording_runs(monkeypatch)
         sim = Vwr2a()
-        b = ProgramBuilder(n_rcs=sim.params.rcs_per_column)
-        b.emit(lcu=seti(0, 0))
-        b.exit()
-        result = sim.execute(KernelConfig(name="one", columns={0: b.build()}))
-        assert result.engine == "compiled"
-        assert called == []
+        with pytest.raises(AddressError) as fault:
+            sim.execute(_late_fault_config(sim.params))
+        assert sim.engine_decisions == {"compiled": 1}
+        # One pass: column 0 ran to EXIT, writing all 40 lines, before
+        # column 1 faulted; the restore and replay still match exactly.
+        assert calls == [(0, "exit"), (1, "AddressError")]
+        assert str(fault.value) == str(expected.value)
+        assert _launch_state(sim) == _launch_state(reference)

@@ -197,7 +197,7 @@ class TestKernelEquivalence:
 
 def _asymmetric_config(params: ArchParams) -> KernelConfig:
     """Two columns with identical code but different SRF loop bounds, so
-    their control flow diverges — exercises the virtual-time scheduler."""
+    their control flow diverges and their lengths differ."""
     columns = {}
     for col, (bound, line) in enumerate(((5, 0), (11, 1))):
         b = ProgramBuilder(n_rcs=params.rcs_per_column)

@@ -112,6 +112,17 @@ class TestFaultPlan:
         assert a.specs == b.specs
         assert FaultPlan.generate(8, 16, rates) != a
 
+    def test_every_requested_kind_strikes_at_least_once(self):
+        # Seed 2032 is the CI chaos command's worker_kill persist-3 cell:
+        # its four rate-0.5 draws all miss, which used to leave the cell
+        # with no fault at all.
+        plan = FaultPlan.generate(2032, 4, {"worker_kill": 0.5}, persist=3)
+        assert plan.counts() == {"worker_kill": 1}
+        spec = plan.specs[0]
+        assert 0 <= spec.window < 4 and spec.persist == 3
+        assert FaultPlan.generate(2032, 4, {"worker_kill": 0.0}) == \
+            FaultPlan(seed=2032)
+
     def test_plans_pickle_unchanged(self):
         plan = FaultPlan.generate(3, 8, {k: 0.4 for k in FAULT_KINDS})
         assert pickle.loads(pickle.dumps(plan)) == plan
